@@ -199,35 +199,13 @@ def _score_params(args, count: int):
     return params
 
 
-def _cmd_score_cube(args) -> int:
+def _cmd_score(args) -> int:
+    options = {k: v for k, v in vars(args).items() if k in ("max_chars", "strict_clues", "jsonl")}
     verdicts, issues = evaluate_mod.ingest_external_outputs(
-        args.prompts, args.outputs, "cube", max_chars=args.max_chars
+        args.prompts, args.outputs, args.kind, **options
     )
     for issue in issues:
         print(f"skipped line {issue.line}: {issue.reason}", file=sys.stderr)
-    _emit_report(evaluate_mod.aggregate(verdicts, _score_params(args, len(verdicts))), args.json)
-    return 0
-
-
-def _cmd_score_sudoku(args) -> int:
-    verdicts, issues = evaluate_mod.ingest_external_outputs(
-        args.prompts, args.outputs, "sudoku", strict_clues=not args.lenient_clues
-    )
-    for issue in issues:
-        print(f"skipped line {issue.line}: {issue.reason}", file=sys.stderr)
-    _emit_report(evaluate_mod.aggregate(verdicts, _score_params(args, len(verdicts))), args.json)
-    return 0
-
-
-def _cmd_score_maze(args) -> int:
-    if args.jsonl:
-        verdicts = []
-        with open(args.outputs, encoding="utf-8") as handle:
-            for line in handle:
-                if line.strip():
-                    verdicts.append(evaluate_mod.classify_maze(json.loads(line)))
-    else:
-        verdicts, _ = evaluate_mod.ingest_external_outputs(None, args.outputs, "maze")
     _emit_report(evaluate_mod.aggregate(verdicts, _score_params(args, len(verdicts))), args.json)
     return 0
 
@@ -350,20 +328,20 @@ def build_parser() -> _Parser:
     g.add_argument("--max-chars", type=int, default=1024)
     g.add_argument("--json", default=None)
     g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score_cube)
+    g.set_defaults(func=_cmd_score)
     g = score.add_parser("sudoku")
     g.add_argument("--prompts", required=True)
     g.add_argument("--outputs", required=True)
-    g.add_argument("--lenient-clues", action="store_true")
+    g.add_argument("--lenient-clues", dest="strict_clues", action="store_false")
     g.add_argument("--json", default=None)
     g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score_sudoku)
+    g.set_defaults(func=_cmd_score)
     g = score.add_parser("maze")
     g.add_argument("--outputs", required=True)
     g.add_argument("--jsonl", action="store_true")
     g.add_argument("--json", default=None)
     g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score_maze)
+    g.set_defaults(func=_cmd_score, prompts=None)
 
     return parser
 

@@ -30,7 +30,7 @@ from .cube import (
 )
 from .cube_solver import solve
 from .maze import MazeSizeError, generate_maze, render_maze, solve_maze
-from .sudoku import format_grid81, generate_puzzle, find_violations, is_complete, parse_grid81
+from .sudoku import _is_grid81, format_grid81, generate_puzzle, find_violations, is_complete, parse_grid81
 
 START_TOKEN = "<|startoftext|>"
 END_TOKEN = "<|endoftext|>"
@@ -100,7 +100,7 @@ def serialize_record(record: PuzzleRecord) -> str:
 def _detect_single_line_kind(prompt: str) -> str:
     if len(prompt) == 54 and all(c in "URFDBL" for c in prompt):
         return "cube"
-    if len(prompt) == 81 and prompt.isdigit():
+    if _is_grid81(prompt):
         return "sudoku"
     raise RecordKindError("prompt shape matches no puzzle")
 

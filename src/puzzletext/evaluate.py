@@ -10,6 +10,7 @@ digits for sudoku, and the fraction of the shortest path walked for mazes.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -284,18 +285,27 @@ def ingest_external_outputs(
     *,
     max_chars: int = DEFAULT_MAX_CHARS,
     strict_clues: bool = True,
+    jsonl: bool = False,
 ) -> tuple[list[SampleVerdict], list[corpus_mod.RowIssue]]:
     """Score externally produced outputs. Cube and sudoku mode expect two
     line-aligned files (prompt i pairs with output i); maze mode consumes a
-    single stream of framed multi-line records from outputs_path. Unusable
-    prompts are skipped and reported; garbage outputs classify as invalid
-    without stopping the run."""
+    single stream of framed multi-line records from outputs_path, or with
+    jsonl one JSON string per non-blank line. Unusable prompts are skipped
+    and reported; garbage outputs classify as invalid without stopping the
+    run."""
     issues: list[corpus_mod.RowIssue] = []
     verdicts: list[SampleVerdict] = []
     if kind == "maze":
         with open(outputs_path, encoding="utf-8") as handle:
-            for chunk in corpus_mod.split_framed_stream(handle.read()):
-                verdicts.append(classify_maze(chunk))
+            text = handle.read()
+        if not jsonl:
+            return [classify_maze(chunk) for chunk in corpus_mod.split_framed_stream(text)], issues
+        for line, row in enumerate(text.split("\n"), start=1):
+            if row.strip():
+                sample = json.loads(row)
+                if not isinstance(sample, str):
+                    raise ValueError(f"line {line}: expected a JSON string, got {type(sample).__name__}")
+                verdicts.append(classify_maze(sample))
         return verdicts, issues
     if kind not in ("cube", "sudoku"):
         raise ValueError(f"unknown kind {kind!r}")

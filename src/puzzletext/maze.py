@@ -177,39 +177,35 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     raise MazeUnreachableError("exit not reachable from entry")
 
 
-def validate_path(maze: Maze, path: MazePath) -> PathVerdict:
-    """Valid iff the path starts at entry, crosses no wall (grid edges
-    count as walls), and ends at the exit; otherwise the first failure."""
+def _walk(maze: Maze, path: MazePath) -> tuple[int, tuple[int, int]]:
+    """Walk from the entry; return the number of leading steps that stay on
+    the grid and cross no wall, and the cell those steps reach."""
     x, y = maze.entry
     for index, token in enumerate(path):
         if token not in _STEPS:
-            return PathVerdict("wall_crossed", step_index=index)
+            return index, (x, y)
         dx, dy, bit, _ = _STEPS[token]
-        if maze.walls[y][x] & bit:
-            return PathVerdict("wall_crossed", step_index=index)
         nx, ny = x + dx, y + dy
-        if not (0 <= nx < maze.width and 0 <= ny < maze.height):
-            return PathVerdict("wall_crossed", step_index=index)
+        if maze.walls[y][x] & bit or not (0 <= nx < maze.width and 0 <= ny < maze.height):
+            return index, (x, y)
         x, y = nx, ny
-    if (x, y) != maze.exit:
-        return PathVerdict("wrong_endpoint", cell=(x, y))
+    return len(path), (x, y)
+
+
+def validate_path(maze: Maze, path: MazePath) -> PathVerdict:
+    """Valid iff the path starts at entry, crosses no wall (grid edges
+    count as walls), and ends at the exit; otherwise the first failure."""
+    walked, cell = _walk(maze, path)
+    if walked < len(path):
+        return PathVerdict("wall_crossed", step_index=walked)
+    if cell != maze.exit:
+        return PathVerdict("wrong_endpoint", cell=cell)
     return PathVerdict("valid")
 
 
 def path_prefix_length(maze: Maze, path: MazePath) -> int:
     """Number of leading steps that stay on the grid and cross no wall."""
-    x, y = maze.entry
-    for index, token in enumerate(path):
-        if token not in _STEPS:
-            return index
-        dx, dy, bit, _ = _STEPS[token]
-        if maze.walls[y][x] & bit:
-            return index
-        nx, ny = x + dx, y + dy
-        if not (0 <= nx < maze.width and 0 <= ny < maze.height):
-            return index
-        x, y = nx, ny
-    return len(path)
+    return _walk(maze, path)[0]
 
 
 def render_maze(maze: Maze, path: MazePath | None = None) -> str:

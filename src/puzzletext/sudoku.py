@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ROW_UNITS = tuple(tuple(r * 9 + c for c in range(9)) for r in range(9))
 COLUMN_UNITS = tuple(tuple(r * 9 + c for r in range(9)) for c in range(9))
@@ -48,25 +49,34 @@ class SudokuGrid:
     cells: tuple[int, ...]  # 81 digits, 0 = blank
 
 
-@dataclass(frozen=True, slots=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # "row", "column", or "block"
     index: int  # 0..8 within the unit family
     digit: int
     positions: tuple[int, ...]  # cell indices holding the repeated digit
 
 
+_DIGITS = "0123456789"  # the grid alphabet: ASCII digits only
+
+
+def _is_grid81(text: str) -> bool:
+    return len(text) == 81 and all(c in _DIGITS for c in text)
+
+
 def parse_grid81(text: str) -> SudokuGrid:
     if len(text) != 81:
         raise GridLengthError(len(text))
     for position, char in enumerate(text):
-        if not char.isdigit():
+        if char not in _DIGITS:
             raise GridDigitError(position, char)
     return SudokuGrid(tuple(int(c) for c in text))
 
 
 def format_grid81(grid: SudokuGrid) -> str:
     return "".join(str(d) for d in grid.cells)
+
+
+_tuple_new = tuple.__new__
 
 
 def find_violations(grid: SudokuGrid) -> list[Violation]:
@@ -85,7 +95,8 @@ def find_violations(grid: SudokuGrid) -> list[Violation]:
             for digit in range(1, 10):
                 if counts[digit] >= 2:
                     positions = tuple(i for i in unit if cells[i] == digit)
-                    violations.append(Violation(kind, index, digit, positions))
+                    # what Violation(...) runs, minus its Python-level __new__
+                    violations.append(_tuple_new(Violation, (kind, index, digit, positions)))
     return violations
 
 
@@ -137,18 +148,22 @@ def _pick_blank(cells, masks):
     return best
 
 
-def _solve_cells(cells, masks, limit, solutions):
-    """Backtracking search; appends up to `limit` completed cell tuples."""
+def _solve_cells(cells, masks, limit, solutions, rng=None):
+    """Backtracking search; appends up to `limit` completed cell tuples.
+    Digits are tried in ascending order, or shuffled by `rng` when given."""
     cell = _pick_blank(cells, masks)
     if cell is None:
         solutions.append(tuple(cells))
         return len(solutions) >= limit
-    for digit in _candidates(masks, cell):
+    digits = _candidates(masks, cell)
+    if rng is not None:
+        rng.shuffle(digits)
+    for digit in digits:
         bit = 1 << digit
         cells[cell] = digit
         for u in _CELL_UNITS[cell]:
             masks[u] |= bit
-        if _solve_cells(cells, masks, limit, solutions):
+        if _solve_cells(cells, masks, limit, solutions, rng):
             return True
         cells[cell] = 0
         for u in _CELL_UNITS[cell]:
@@ -184,28 +199,9 @@ def count_solutions(grid: SudokuGrid, limit: int) -> int:
 
 
 def _random_solved_grid(rng: random.Random) -> SudokuGrid:
-    cells = [0] * 81
-
-    def fill(masks):
-        cell = _pick_blank(cells, masks)
-        if cell is None:
-            return True
-        digits = _candidates(masks, cell)
-        rng.shuffle(digits)
-        for digit in digits:
-            bit = 1 << digit
-            cells[cell] = digit
-            for u in _CELL_UNITS[cell]:
-                masks[u] |= bit
-            if fill(masks):
-                return True
-            cells[cell] = 0
-            for u in _CELL_UNITS[cell]:
-                masks[u] &= ~bit
-        return False
-
-    fill([0] * 27)
-    return SudokuGrid(tuple(cells))
+    solutions: list[tuple[int, ...]] = []
+    _solve_cells([0] * 81, [0] * 27, 1, solutions, rng)
+    return SudokuGrid(solutions[0])
 
 
 def generate_puzzle(

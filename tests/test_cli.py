@@ -186,6 +186,30 @@ def test_score_sudoku(tmp_path, capsys):
     assert "correct" in capsys.readouterr().out
 
 
+def test_score_sudoku_lenient_clues(tmp_path, capsys):
+    # a fully valid solved grid that disagrees with the sample's clues
+    other = "123456789456789123789123456214365897365897214897214365531642978642978531978531642"
+    prompts = tmp_path / "p.txt"
+    outputs = tmp_path / "o.txt"
+    prompts.write_text(SAMPLE_SUDOKU_PUZZLE + "\n", encoding="utf-8")
+    outputs.write_text(other + "\n", encoding="utf-8")
+    strict, lenient = tmp_path / "strict.json", tmp_path / "lenient.json"
+    base = ["score", "sudoku", "--prompts", str(prompts), "--outputs", str(outputs)]
+    assert run(base + ["--json", str(strict)]) == 0
+    assert run(base + ["--lenient-clues", "--json", str(lenient)]) == 0
+    assert json.loads(read(strict))["counts"]["invalid"] == 1
+    assert json.loads(read(lenient))["counts"]["correct"] == 1
+
+
+def test_score_maze_jsonl_non_string_line_is_data_error(tmp_path, capsys):
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text('"not a maze"\n123\n', encoding="utf-8")
+    assert run(["score", "maze", "--outputs", str(samples), "--jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: expected a JSON string, got int\n"
+
+
 # --- plumbing ---
 
 

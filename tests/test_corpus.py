@@ -80,6 +80,12 @@ def test_parse_record_unknown_prompt_shape():
         parse_record("<|startoftext|>[WP] 12345 [RESPONSE] 12345 <|endoftext|>")
 
 
+def test_parse_record_sudoku_prompt_is_ascii_digits_only():
+    prompt = "\u0668" * 81  # ARABIC-INDIC DIGIT EIGHT passes str.isdigit
+    with pytest.raises(RecordKindError):
+        parse_record(f"<|startoftext|>[WP] {prompt} [RESPONSE] {SAMPLE_SUDOKU_SOLUTION} <|endoftext|>")
+
+
 # --- cube corpus ---
 
 

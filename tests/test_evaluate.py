@@ -135,6 +135,13 @@ def test_classify_sudoku_clue_change_strict_vs_lenient():
     assert lenient.status == "correct"
 
 
+def test_classify_sudoku_non_ascii_digit_is_invalid():
+    response = SAMPLE_SUDOKU_SOLUTION.replace("8", "\u0668")  # ARABIC-INDIC EIGHT
+    verdict = classify_sudoku(SAMPLE_SUDOKU_PUZZLE, response)
+    assert verdict.status == "invalid"
+    assert verdict.reason == "bad_grid"
+
+
 def test_classify_sudoku_bad_prompt():
     with pytest.raises(BadPromptError):
         classify_sudoku("55" + "0" * 79, SAMPLE_SUDOKU_SOLUTION)
@@ -310,6 +317,23 @@ def test_ingest_maze_stream(tmp_path):
     assert not issues
     assert len(verdicts) == 3
     assert all(v.status == "correct" for v in verdicts)
+
+
+def test_ingest_maze_jsonl(tmp_path):
+    records = corpus.build_maze_corpus(27, 3, [(4, 4)])
+    outputs = tmp_path / "samples.jsonl"
+    lines = [json.dumps(corpus.serialize_record(r)) for r in records]
+    outputs.write_text("\n".join([lines[0], "", lines[1], "  ", lines[2], ""]), encoding="utf-8")
+    verdicts, issues = ingest_external_outputs(None, outputs, "maze", jsonl=True)
+    assert not issues
+    assert [v.status for v in verdicts] == ["correct"] * 3
+
+
+def test_ingest_maze_jsonl_rejects_non_string_line(tmp_path):
+    outputs = tmp_path / "samples.jsonl"
+    outputs.write_text(json.dumps("garbage") + "\n123\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2"):
+        ingest_external_outputs(None, outputs, "maze", jsonl=True)
 
 
 def test_sudoku_corpus_scores_itself_correct(tmp_path):

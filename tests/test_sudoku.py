@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
+from puzzletext.corpus import build_sudoku_corpus, corpus_text
 from puzzletext.sudoku import (
     GridDigitError,
     GridLengthError,
@@ -72,6 +74,26 @@ def test_parse_digit_error():
     with pytest.raises(GridDigitError) as exc:
         parse_grid81("0" * 40 + "x" + "0" * 40)
     assert exc.value.position == 40
+
+
+def test_parse_accepts_ascii_digits_only():
+    # U+0668 ARABIC-INDIC DIGIT EIGHT passes str.isdigit but is not grammar
+    text = SAMPLE_SUDOKU_SOLUTION.replace("8", "\u0668", 1)
+    with pytest.raises(GridDigitError) as exc:
+        parse_grid81(text)
+    assert exc.value.position == 0
+    with pytest.raises(GridDigitError):
+        parse_grid81("\uff15" + "0" * 80)  # FULLWIDTH DIGIT FIVE
+
+
+def test_violation_is_an_immutable_hashable_record():
+    violation = Violation("row", 0, 5, (0, 4))
+    assert (violation.kind, violation.index, violation.digit, violation.positions) == ("row", 0, 5, (0, 4))
+    assert violation == Violation("row", 0, 5, (0, 4))
+    assert violation != Violation("column", 0, 5, (0, 4))
+    assert len({violation, Violation("row", 0, 5, (0, 4))}) == 1
+    with pytest.raises(AttributeError):
+        violation.digit = 6
 
 
 def test_format_round_trips_sample_pair():
@@ -208,6 +230,28 @@ def test_generate_failure_is_reported():
     # 17 clues with uniqueness is essentially unreachable by greedy removal
     with pytest.raises(PuzzleGenerationError):
         generate_puzzle(0, 17, max_attempts=1)
+
+
+# sha256 of the bytes below, recorded before the search was refactored.
+PINNED_SEARCH_SHA256 = "dc6c516915fc9f2e8d9e3ef8e360ad0fa1b885e81e2ce5d146d706869102d3a5"
+
+
+def test_seeded_search_bytes_are_pinned():
+    """Generation, solving and counting share one backtracking search whose
+    cell order, digit order and RNG calls are part of the byte contract."""
+    digest = hashlib.sha256()
+    for require_unique in (True, False):
+        records = build_sudoku_corpus(20240, 12, (25, 35), require_unique=require_unique)
+        digest.update(corpus_text(records).encode("utf-8"))
+    rng = random.Random(31)
+    for blanks in (0, 30, 45, 55, 65, 75, 81):
+        cells = list(parse_grid81(SAMPLE_SUDOKU_SOLUTION).cells)
+        for i in rng.sample(range(81), blanks):
+            cells[i] = 0
+        grid = SudokuGrid(tuple(cells))
+        digest.update(format_grid81(solve_sudoku(grid)).encode("utf-8"))
+        digest.update(str(count_solutions(grid, 25)).encode("utf-8"))
+    assert digest.hexdigest() == PINNED_SEARCH_SHA256
 
 
 # --- rendering ---
