@@ -51,9 +51,7 @@ def _write_corpus_and_meta(records, out_path: str) -> None:
 
 
 def _cmd_gen_cube(args) -> int:
-    records = corpus_mod.build_cube_corpus(
-        args.seed, args.total, args.max_scramble, depth_cap=args.depth_cap, jobs=args.jobs
-    )
+    records = corpus_mod.build_cube_corpus(args.seed, args.total, args.max_scramble, jobs=args.jobs)
     _write_corpus_and_meta(records, args.out)
     return 0
 
@@ -229,7 +227,6 @@ def build_parser() -> _Parser:
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--total", type=int, default=5000)
     g.add_argument("--max-scramble", type=int, default=5)
-    g.add_argument("--depth-cap", type=int, default=None, help="solver depth cap")
     g.add_argument("--out", required=True)
     add_jobs(g)
     g.set_defaults(func=_cmd_gen_cube)

@@ -37,7 +37,6 @@ END_TOKEN = "<|endoftext|>"
 PROMPT_TAG = "[WP]"
 RESPONSE_TAG = "[RESPONSE]"
 
-KINDS = ("cube", "sudoku", "maze")
 _SINGLE_LINE_KINDS = ("cube", "sudoku")
 
 MAX_MAZE_SIDE = 6  # rendered 6x6 pairs already brush the 1024-character budget
@@ -136,10 +135,11 @@ def _map_records(worker, params, jobs: int):
 
 
 def _cube_record(params) -> PuzzleRecord:
-    seed, length, max_scramble, depth_cap = params
+    seed, length, max_scramble = params
     scramble = random_scramble(seed, length, max_length=max_scramble)
     state = apply_formula(FaceletCube(), scramble)
-    solution = solve(state, max_depth=depth_cap)
+    # A scramble of length L has a solution of at most L moves.
+    solution = solve(state, max_depth=max_scramble)
     return PuzzleRecord(
         "cube",
         encode_facelets(state),
@@ -148,20 +148,16 @@ def _cube_record(params) -> PuzzleRecord:
     )
 
 
-def build_cube_corpus(
-    rng_seed: int, total: int, max_scramble: int, *, depth_cap: int | None = None, jobs: int = 1
-) -> list[PuzzleRecord]:
+def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int = 1) -> list[PuzzleRecord]:
     """total/max_scramble scrambles per length 1..max_scramble, each paired
     with a minimal solving formula. Pre-dedup count is exactly `total`."""
     if max_scramble < 1:
         raise ValueError("max_scramble must be >= 1")
     if total % max_scramble:
         raise DivisibilityError(f"total {total} not divisible by max_scramble {max_scramble}")
-    if depth_cap is None:
-        depth_cap = max_scramble
     master = random.Random(rng_seed)
     params = [
-        (master.getrandbits(63), length, max_scramble, depth_cap)
+        (master.getrandbits(63), length, max_scramble)
         for length in range(1, max_scramble + 1)
         for _ in range(total // max_scramble)
     ]

@@ -8,7 +8,8 @@ solved cube reads as nine U's, nine R's, and so on.
 Moves use the common face-turn grammar: a bare letter ("R") is a clockwise
 quarter turn, a letter with an ASCII apostrophe ("R'") the counterclockwise
 quarter turn, and a letter with a 2 ("F2") a half turn. Formulas are
-space-separated move tokens.
+move tokens separated by one or more ASCII spaces (U+0020); tabs, newlines
+and other Unicode whitespace are not separators.
 """
 from __future__ import annotations
 
@@ -127,10 +128,13 @@ class FaceletCube:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse space-separated move tokens; raises FormulaSyntaxError."""
+    """Parse move tokens separated by runs of ASCII spaces; any other
+    character, including tabs, newlines and Unicode spaces, raises
+    FormulaSyntaxError."""
     moves = []
-    for position, token in enumerate(text.split(), start=1):
-        if not token or token[0] not in FACES or token[1:] not in _SUFFIX_TO_TURN:
+    tokens = [token for token in text.split(" ") if token]
+    for position, token in enumerate(tokens, start=1):
+        if token[0] not in FACES or token[1:] not in _SUFFIX_TO_TURN:
             raise FormulaSyntaxError(position, token)
         moves.append(Move(token[0], _SUFFIX_TO_TURN[token[1:]]))
     return tuple(moves)

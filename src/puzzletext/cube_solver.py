@@ -1,12 +1,10 @@
-"""Optimal cube solving by iterative-deepening A* over the 18 face turns.
+"""Optimal cube solving by iterative deepening over the 18 face turns.
 
-The heuristic is the max of two admissible lower bounds: a displacement
-bound (a face turn relocates at most 20 stickers, so misplaced/20 rounded
-up is a floor on the remaining moves) and an exact-distance table holding
-every state within TABLE_DEPTH turns of solved, computed once per process
-by breadth-first search. States absent from the table are at least
-TABLE_DEPTH + 1 away, which is what makes shallow optimal solving cheap:
-the search only has to walk down to the table boundary.
+An exact-distance table holds every state within TABLE_DEPTH turns of
+solved, computed once per process by breadth-first search. The search
+only walks down to the table boundary: a state in the table is finished
+by a greedy walk through it, and a state absent from it is at least
+TABLE_DEPTH + 1 away, which is the bound that prunes everything else.
 """
 from __future__ import annotations
 
@@ -22,10 +20,6 @@ from .cube import (
 
 TABLE_DEPTH = 3
 
-# One face turn moves 8 stickers on the turning face and 12 on the ring
-# around it; centers stay put.
-_MAX_MOVED_PER_TURN = 20
-
 _MOVES_WITH_PERMS = tuple((move, MOVE_PERMS[(move.face, move.turn)]) for move in ALL_MOVES)
 
 
@@ -35,12 +29,6 @@ class DepthExceeded(RuntimeError):
     def __init__(self, max_depth: int):
         super().__init__(f"no solution within {max_depth} moves")
         self.max_depth = max_depth
-
-
-def displacement_lower_bound(facelets: str) -> int:
-    """Admissible bound: misplaced sticker count over the per-turn maximum."""
-    misplaced = sum(1 for a, b in zip(facelets, SOLVED_FACELETS) if a != b)
-    return -(-misplaced // _MAX_MOVED_PER_TURN)
 
 
 @lru_cache(maxsize=1)
@@ -82,8 +70,7 @@ def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | N
         if g + distance <= threshold:
             return _walk_to_solved(facelets, distance, table)
         return None
-    bound = max(TABLE_DEPTH + 1, displacement_lower_bound(facelets))
-    if g + bound > threshold:
+    if g + TABLE_DEPTH + 1 > threshold:
         return None
     for move, perm in _MOVES_WITH_PERMS:
         if move.face == last_face:
@@ -99,20 +86,14 @@ def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | N
 def solve(cube: FaceletCube, max_depth: int = 6) -> Formula:
     """Return a minimal-length solving formula, or raise DepthExceeded.
 
-    Iterates the threshold upward from the heuristic value, so the first
-    formula found has exactly the state's true distance.
+    Iterates the threshold upward from zero, so the first formula found has
+    exactly the state's true distance.
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
     table = _distance_table()
-    facelets = cube.facelets
-    distance = table.get(facelets)
-    if distance is not None:
-        if distance > max_depth:
-            raise DepthExceeded(max_depth)
-        return tuple(_walk_to_solved(facelets, distance, table))
-    for threshold in range(TABLE_DEPTH + 1, max_depth + 1):
-        found = _search(facelets, 0, threshold, None, table)
+    for threshold in range(max_depth + 1):
+        found = _search(cube.facelets, 0, threshold, None, table)
         if found is not None:
             return tuple(found)
     raise DepthExceeded(max_depth)

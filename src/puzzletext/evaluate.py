@@ -302,7 +302,10 @@ def ingest_external_outputs(
             return [classify_maze(chunk) for chunk in corpus_mod.split_framed_stream(text)], issues
         for line, row in enumerate(text.split("\n"), start=1):
             if row.strip():
-                sample = json.loads(row)
+                try:
+                    sample = json.loads(row)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"line {line}: {exc}") from exc
                 if not isinstance(sample, str):
                     raise ValueError(f"line {line}: expected a JSON string, got {type(sample).__name__}")
                 verdicts.append(classify_maze(sample))

@@ -104,10 +104,6 @@ def is_complete(grid: SudokuGrid) -> bool:
     return 0 not in grid.cells
 
 
-def is_solved_grid(grid: SudokuGrid) -> bool:
-    return is_complete(grid) and not find_violations(grid)
-
-
 _CELL_UNITS = tuple(
     (i // 9, 9 + i % 9, 18 + (i // 27) * 3 + (i % 9) // 3) for i in range(81)
 )

@@ -210,6 +210,15 @@ def test_score_maze_jsonl_non_string_line_is_data_error(tmp_path, capsys):
     assert captured.err == "error: line 2: expected a JSON string, got int\n"
 
 
+def test_score_maze_jsonl_malformed_line_names_file_line(tmp_path, capsys):
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text('"not a maze"\n{not json\n', encoding="utf-8")
+    assert run(["score", "maze", "--outputs", str(samples), "--jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 2: Expecting property name")
+
+
 # --- plumbing ---
 
 

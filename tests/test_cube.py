@@ -90,6 +90,30 @@ def test_parse_rejects_unknown_face():
     assert exc.value.token == "X"
 
 
+def test_parse_space_runs_keep_token_positions():
+    assert parse_formula("  R   U'  ") == parse_formula("R U'")
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula("R    U  X")
+    assert exc.value.position == 3
+
+
+@pytest.mark.parametrize(
+    "text, position, token",
+    [
+        ("R\tU", 1, "R\tU"),
+        ("R U\nF", 2, "U\nF"),
+        ("R U\r", 2, "U\r"),
+        ("R\u3000U F", 1, "R\u3000U"),
+        ("R \u00a0U", 2, "\u00a0U"),
+        ("\tR", 1, "\tR"),
+    ],
+)
+def test_parse_separator_is_ascii_space_only(text, position, token):
+    with pytest.raises(FormulaSyntaxError) as exc:
+        parse_formula(text)
+    assert (exc.value.position, exc.value.token) == (position, token)
+
+
 @pytest.mark.parametrize("bad", ["R''", "R3", "r", "2R", "R" + "’", "RU"])
 def test_parse_rejects_malformed_tokens(bad):
     with pytest.raises(FormulaSyntaxError):

@@ -4,8 +4,11 @@ The oracle enumerates move sequences outward from solved (skipping
 consecutive same-face moves) and records the first depth each state is
 reached at, independently of the solver's own machinery.
 """
+import hashlib
+
 import pytest
 
+from puzzletext.corpus import build_cube_corpus, corpus_text
 from puzzletext.cube import (
     ALL_MOVES,
     FaceletCube,
@@ -17,7 +20,6 @@ from puzzletext.cube import (
 )
 from puzzletext.cube_solver import (
     DepthExceeded,
-    displacement_lower_bound,
     solve,
 )
 
@@ -95,6 +97,23 @@ def test_depth_exceeded():
         solve(deep, 3)
 
 
-def test_displacement_bound_is_admissible(oracle_depth2):
-    for facelets, distance in oracle_depth2.items():
-        assert displacement_lower_bound(facelets) <= distance
+# sha256 of the bytes below, recorded before the search was simplified.
+PINNED_SOLVER_SHA256 = "3cd954a9d11fff9a79071b39ffe57f300c23a2c9f29877bad55b84bc2782dc49"
+
+
+def test_solver_bytes_are_pinned():
+    """Corpus labels come from solve, so which of several optimal formulas
+    it returns (set by the move order) is part of the byte contract, as is
+    where DepthExceeded is raised."""
+    digest = hashlib.sha256()
+    for seed, max_scramble, total in ((11, 5, 40), (29, 6, 24)):
+        digest.update(corpus_text(build_cube_corpus(seed, total, max_scramble)).encode("utf-8"))
+    for seed in range(60):
+        state = apply_formula(SOLVED, random_scramble(seed, seed % 6 + 1, max_length=6))
+        for max_depth in (0, 2, 4, 6):
+            try:
+                text = format_formula(solve(state, max_depth))
+            except DepthExceeded as exc:
+                text = f"DepthExceeded {exc.max_depth}"
+            digest.update((text + "\n").encode("utf-8"))
+    assert digest.hexdigest() == PINNED_SOLVER_SHA256

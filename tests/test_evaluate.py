@@ -82,6 +82,15 @@ def test_classify_cube_invalid_syntax():
     assert verdict.progress is None
 
 
+def test_classify_cube_non_ascii_space_is_invalid():
+    # R' solves the state, so only the separator makes these invalid.
+    state = apply_move(SOLVED, Move("R", Turn.CW90))
+    for separator in ("\t", "\u3000"):
+        verdict = classify_cube(encode_facelets(state), f"R'{separator}U U'")
+        assert verdict.status == "invalid"
+        assert verdict.reason == "syntax_error:1"
+
+
 def test_classify_cube_empty_formula_is_incorrect():
     state = apply_formula(SOLVED, random_scramble(4, 3))
     verdict = classify_cube(encode_facelets(state), "")
