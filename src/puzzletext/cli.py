@@ -37,10 +37,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
+    """argparse type for --sizes: a comma-separated list of WxH entries."""
     sizes = []
     for part in text.split(","):
         w, _, h = part.strip().partition("x")
-        sizes.append((int(w), int(h)))
+        try:
+            sizes.append((int(w), int(h)))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid maze size {part!r} (expected WxH)") from None
     return sizes
 
 
@@ -70,7 +74,7 @@ def _cmd_gen_sudoku(args) -> int:
 
 def _cmd_gen_maze(args) -> int:
     records = corpus_mod.build_maze_corpus(
-        args.seed, args.total, _parse_sizes(args.sizes), jobs=args.jobs
+        args.seed, args.total, args.sizes, jobs=args.jobs
     )
     _write_corpus_and_meta(records, args.out)
     return 0
@@ -168,10 +172,8 @@ def _cmd_sample(args) -> int:
             temperature=args.temperature,
         )
         samples.append(prompt + continuation)
-    if args.jsonl:
-        text = "\n".join(json.dumps(s) for s in samples) + "\n"
-    else:
-        text = "\n".join(samples) + "\n"
+    lines = [json.dumps(s) for s in samples] if args.jsonl else samples
+    text = "".join(line + "\n" for line in lines)
     if args.out:
         atomic_write_text(args.out, text)
         print(f"wrote {args.count} samples to {args.out}", file=sys.stderr)
@@ -244,7 +246,7 @@ def build_parser() -> _Parser:
     g = gen.add_parser("maze", help="unsolved/solved maze render pairs")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--total", type=int, default=10000)
-    g.add_argument("--sizes", default="4x4,5x5", help="comma-separated WxH list")
+    g.add_argument("--sizes", type=_parse_sizes, default="4x4,5x5", help="comma-separated WxH list")
     g.add_argument("--out", required=True)
     add_jobs(g)
     g.set_defaults(func=_cmd_gen_maze)

@@ -1,10 +1,12 @@
 """Optimal cube solving by iterative deepening over the 18 face turns.
 
-An exact-distance table holds every state within TABLE_DEPTH turns of
-solved, computed once per process by breadth-first search. The search
-only walks down to the table boundary: a state in the table is finished
-by a greedy walk through it, and a state absent from it is at least
-TABLE_DEPTH + 1 away, which is the bound that prunes everything else.
+A solution table maps every state within TABLE_DEPTH turns of solved to its
+first optimal formula: at each step, the first move in ALL_MOVES order that
+brings the cube one turn closer. One breadth-first search builds it, once
+per process. The search only walks down to the table boundary: a state in
+the table is finished by its stored formula, and a state absent from it is
+at least TABLE_DEPTH + 1 away, which is the bound that prunes everything
+else.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from functools import lru_cache
 
 from .cube import (
     ALL_MOVES,
-    MOVE_PERMS,
+    MOVE_GETTERS,
     SOLVED_FACELETS,
     FaceletCube,
     Formula,
@@ -20,7 +22,7 @@ from .cube import (
 
 TABLE_DEPTH = 3
 
-_MOVES_WITH_PERMS = tuple((move, MOVE_PERMS[(move.face, move.turn)]) for move in ALL_MOVES)
+_MOVES_WITH_GETTERS = tuple((move, MOVE_GETTERS[(move.face, move.turn)]) for move in ALL_MOVES)
 
 
 class DepthExceeded(RuntimeError):
@@ -32,50 +34,40 @@ class DepthExceeded(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _distance_table() -> dict[str, int]:
-    table = {SOLVED_FACELETS: 0}
+def _solution_table() -> dict[str, Formula]:
+    getters = dict(_MOVES_WITH_GETTERS)
+    table = {SOLVED_FACELETS: ()}
     frontier = [SOLVED_FACELETS]
-    for depth in range(1, TABLE_DEPTH + 1):
-        next_frontier = []
-        for state in frontier:
-            for _, perm in _MOVES_WITH_PERMS:
-                child = "".join(map(state.__getitem__, perm))
-                if child not in table:
-                    table[child] = depth
-                    next_frontier.append(child)
-        frontier = next_frontier
+    for _ in range(TABLE_DEPTH):
+        level = {}
+        # Turning a parent by move.inverse() reaches a child that `move`
+        # takes back to the parent. Trying the moves in ALL_MOVES order and
+        # keeping the first parent found gives each child the first move
+        # that brings it one turn closer.
+        for move in ALL_MOVES:
+            getter = getters[move.inverse()]
+            for parent in frontier:
+                child = "".join(getter(parent))
+                if child not in table and child not in level:
+                    level[child] = (move,) + table[parent]
+        table.update(level)
+        frontier = list(level)
     return table
 
 
-def _walk_to_solved(facelets: str, distance: int, table: dict[str, int]) -> list:
-    """Greedy descent through the exact-distance table."""
-    moves = []
-    while distance:
-        for move, perm in _MOVES_WITH_PERMS:
-            child = "".join(map(facelets.__getitem__, perm))
-            if table.get(child, TABLE_DEPTH + 1) == distance - 1:
-                moves.append(move)
-                facelets = child
-                distance -= 1
-                break
-        else:  # table is closed under one BFS step, so this cannot happen
-            raise AssertionError("distance table walk failed")
-    return moves
-
-
 def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | None:
-    distance = table.get(facelets)
-    if distance is not None:
-        # Exact distance known: either finish here or prune, never recurse.
-        if g + distance <= threshold:
-            return _walk_to_solved(facelets, distance, table)
+    formula = table.get(facelets)
+    if formula is not None:
+        # Optimal formula known: either finish here or prune, never recurse.
+        if g + len(formula) <= threshold:
+            return list(formula)
         return None
     if g + TABLE_DEPTH + 1 > threshold:
         return None
-    for move, perm in _MOVES_WITH_PERMS:
+    for move, getter in _MOVES_WITH_GETTERS:
         if move.face == last_face:
             continue
-        child = "".join(map(facelets.__getitem__, perm))
+        child = "".join(getter(facelets))
         found = _search(child, g + 1, threshold, move.face, table)
         if found is not None:
             found.insert(0, move)
@@ -91,7 +83,7 @@ def solve(cube: FaceletCube, max_depth: int = 6) -> Formula:
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    table = _distance_table()
+    table = _solution_table()
     for threshold in range(max_depth + 1):
         found = _search(cube.facelets, 0, threshold, None, table)
         if found is not None:

@@ -141,10 +141,23 @@ def test_c2_solver_matches_brute_force_at_depth_three():
         frontier = next_frontier
     assert len(distances) == 3502  # 1 + 18 + 243 + 3240
     for facelets, distance in distances.items():
-        solution = solve(FaceletCube(facelets), 4)
-        assert len(solution) == distance
-        assert is_solved(apply_formula(FaceletCube(facelets), solution))
-    _report(2, time.monotonic() - started, 300, "optimal on all 3,502 states within 3 moves")
+        # Reference label: at each step, the first move in ALL_MOVES order
+        # whose child is one turn closer.
+        expected = []
+        state = FaceletCube(facelets)
+        for closer in range(distance - 1, -1, -1):
+            for move in ALL_MOVES:
+                child = apply_move(state, move)
+                if distances.get(child.facelets) == closer:
+                    break
+            else:
+                pytest.fail(f"no move brings {state.facelets} to distance {closer}")
+            expected.append(move)
+            state = child
+        assert is_solved(state)
+        assert solve(FaceletCube(facelets), 4) == tuple(expected)
+    _report(2, time.monotonic() - started, 300,
+            "first optimal formula on all 3,502 states within 3 moves")
 
 
 def test_c3_cube_corpus_self_consistency(cube_corpus):

@@ -48,6 +48,25 @@ def test_gen_seed_is_mandatory(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sizes, entry", [("4x", "4x"), ("4x4,", ""), ("4x4,5", "5"), ("axb", "axb")])
+def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
+    out = tmp_path / "maze.txt"
+    code = run(["gen", "maze", "--seed", "1", "--total", "2", "--sizes", sizes, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert f"invalid maze size {entry!r} (expected WxH)" in err
+    assert not out.exists()
+
+
+def test_gen_maze_size_out_of_range_is_data_error(tmp_path, capsys):
+    out = tmp_path / "maze.txt"
+    code = run(["gen", "maze", "--seed", "1", "--total", "2", "--sizes", "1x4", "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: maze sizes must be within")
+    assert not out.exists()
+
+
 def test_gen_data_error_leaves_no_file(tmp_path):
     out = tmp_path / "cube.txt"
     code = run(["gen", "cube", "--seed", "1", "--total", "7", "--max-scramble", "5", "--out", str(out)])
@@ -157,6 +176,21 @@ def test_train_sample_score_maze_pipeline(tmp_path, capsys):
     payload = json.loads(read(report_path))
     assert payload["total"] == 10
     assert sum(payload["counts"].values()) == 10
+
+
+@pytest.mark.parametrize("jsonl", [[], ["--jsonl"]])
+def test_sample_count_zero_writes_nothing(tmp_path, capsys, jsonl):
+    corpus_path = tmp_path / "maze.txt"
+    model_path = tmp_path / "model.json"
+    samples_path = tmp_path / "samples.txt"
+    assert run(["gen", "maze", "--seed", "1", "--total", "4", "--sizes", "4x4", "--out", str(corpus_path)]) == 0
+    assert run(["train", "--corpus", str(corpus_path), "--order", "3", "--out", str(model_path)]) == 0
+    sample = ["sample", "--model", str(model_path), "--seed", "0", "--count", "0", *jsonl]
+    assert run([*sample, "--out", str(samples_path)]) == 0
+    assert read(samples_path) == ""
+    capsys.readouterr()
+    assert run(sample) == 0
+    assert capsys.readouterr().out == ""
 
 
 def test_score_cube_self_test_is_all_correct(tmp_path, capsys):
