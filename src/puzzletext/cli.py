@@ -21,7 +21,7 @@ from . import evaluate as evaluate_mod
 from . import markov as markov_mod
 from . import maze as maze_mod
 from . import sudoku as sudoku_mod
-from .cube import FaceletCube, decode_facelets, format_formula, render_cube_net
+from .cube import decode_facelets, format_formula, render_cube_net
 from .cube_solver import solve as solve_cube
 
 FORMAT_VERSION = 1
@@ -36,15 +36,28 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: error: {message}")
 
 
+def _at_least(minimum: int):
+    """argparse type for a count: an int no smaller than `minimum`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
+
+
 def _parse_sizes(text: str) -> list[tuple[int, int]]:
-    """argparse type for --sizes: a comma-separated list of WxH entries."""
+    """argparse type for --sizes: a comma-separated list of WxH entries,
+    each side written in ASCII digits."""
     sizes = []
     for part in text.split(","):
         w, _, h = part.strip().partition("x")
-        try:
-            sizes.append((int(w), int(h)))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid maze size {part!r} (expected WxH)") from None
+        if not all(side.isascii() and side.isdigit() for side in (w, h)):
+            raise argparse.ArgumentTypeError(f"invalid maze size {part!r} (expected WxH)")
+        sizes.append((int(w), int(h)))
     return sizes
 
 
@@ -54,29 +67,8 @@ def _write_corpus_and_meta(records, out_path: str) -> None:
     print(f"wrote {len(records)} records to {out_path}", file=sys.stderr)
 
 
-def _cmd_gen_cube(args) -> int:
-    records = corpus_mod.build_cube_corpus(args.seed, args.total, args.max_scramble, jobs=args.jobs)
-    _write_corpus_and_meta(records, args.out)
-    return 0
-
-
-def _cmd_gen_sudoku(args) -> int:
-    records = corpus_mod.build_sudoku_corpus(
-        args.seed,
-        args.total,
-        (args.clue_min, args.clue_max),
-        require_unique=not args.allow_multiple,
-        jobs=args.jobs,
-    )
-    _write_corpus_and_meta(records, args.out)
-    return 0
-
-
-def _cmd_gen_maze(args) -> int:
-    records = corpus_mod.build_maze_corpus(
-        args.seed, args.total, args.sizes, jobs=args.jobs
-    )
-    _write_corpus_and_meta(records, args.out)
+def _cmd_gen(args) -> int:
+    _write_corpus_and_meta(args.build(args), args.out)
     return 0
 
 
@@ -182,23 +174,6 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _emit_report(report, json_path: str | None) -> None:
-    print(evaluate_mod.format_report(report))
-    if json_path:
-        atomic_write_text(
-            json_path, json.dumps(evaluate_mod.report_to_dict(report), sort_keys=True, indent=2) + "\n"
-        )
-
-
-def _score_params(args, count: int):
-    if not args.meta:
-        return None
-    params = corpus_mod.read_meta(args.meta)
-    if len(params) != count:
-        raise ValueError(f"meta sidecar has {len(params)} rows, expected {count}")
-    return params
-
-
 def _cmd_score(args) -> int:
     options = {k: v for k, v in vars(args).items() if k in ("max_chars", "strict_clues", "jsonl")}
     verdicts, issues = evaluate_mod.ingest_external_outputs(
@@ -206,7 +181,15 @@ def _cmd_score(args) -> int:
     )
     for issue in issues:
         print(f"skipped line {issue.line}: {issue.reason}", file=sys.stderr)
-    _emit_report(evaluate_mod.aggregate(verdicts, _score_params(args, len(verdicts))), args.json)
+    params = corpus_mod.read_meta(args.meta) if args.meta else None
+    if params is not None and len(params) != len(verdicts):
+        raise ValueError(f"meta sidecar has {len(params)} rows, expected {len(verdicts)}")
+    report = evaluate_mod.aggregate(verdicts, params)
+    print(evaluate_mod.format_report(report))
+    if args.json:
+        atomic_write_text(
+            args.json, json.dumps(evaluate_mod.report_to_dict(report), sort_keys=True, indent=2) + "\n"
+        )
     return 0
 
 
@@ -219,37 +202,40 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_jobs(p):
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers (default 1)")
-
     gen = sub.add_parser("gen", help="generate a seeded corpus").add_subparsers(
         dest="kind", required=True
     )
-    g = gen.add_parser("cube", help="cube scramble/solution pairs")
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--total", type=int, default=5000)
-    g.add_argument("--max-scramble", type=int, default=5)
-    g.add_argument("--out", required=True)
-    add_jobs(g)
-    g.set_defaults(func=_cmd_gen_cube)
 
-    g = gen.add_parser("sudoku", help="sudoku puzzle/solution pairs")
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--total", type=int, default=1000)
-    g.add_argument("--clue-min", type=int, default=25)
-    g.add_argument("--clue-max", type=int, default=35)
-    g.add_argument("--allow-multiple", action="store_true", help="skip the uniqueness check")
-    g.add_argument("--out", required=True)
-    add_jobs(g)
-    g.set_defaults(func=_cmd_gen_sudoku)
+    def add_gen(kind, summary, total, build, *flags):
+        # `build` looks its builder up on each call, so a wrapped builder is the one run
+        g = gen.add_parser(kind, help=summary)
+        g.add_argument("--seed", type=int, required=True)
+        g.add_argument("--total", type=_at_least(0), default=total)
+        for flag, options in flags:
+            g.add_argument(flag, **options)
+        g.add_argument("--out", required=True)
+        g.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers (default 1)")
+        g.set_defaults(func=_cmd_gen, build=build)
 
-    g = gen.add_parser("maze", help="unsolved/solved maze render pairs")
-    g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--total", type=int, default=10000)
-    g.add_argument("--sizes", type=_parse_sizes, default="4x4,5x5", help="comma-separated WxH list")
-    g.add_argument("--out", required=True)
-    add_jobs(g)
-    g.set_defaults(func=_cmd_gen_maze)
+    add_gen(
+        "cube", "cube scramble/solution pairs", 5000,
+        lambda a: corpus_mod.build_cube_corpus(a.seed, a.total, a.max_scramble, jobs=a.jobs),
+        ("--max-scramble", dict(type=int, default=5)),
+    )
+    add_gen(
+        "sudoku", "sudoku puzzle/solution pairs", 1000,
+        lambda a: corpus_mod.build_sudoku_corpus(
+            a.seed, a.total, (a.clue_min, a.clue_max), require_unique=not a.allow_multiple, jobs=a.jobs
+        ),
+        ("--clue-min", dict(type=int, default=25)),
+        ("--clue-max", dict(type=int, default=35)),
+        ("--allow-multiple", dict(action="store_true", help="skip the uniqueness check")),
+    )
+    add_gen(
+        "maze", "unsolved/solved maze render pairs", 10000,
+        lambda a: corpus_mod.build_maze_corpus(a.seed, a.total, a.sizes, jobs=a.jobs),
+        ("--sizes", dict(type=_parse_sizes, default="4x4,5x5", help="comma-separated WxH list")),
+    )
 
     ingest = sub.add_parser("ingest", help="ingest an external dataset").add_subparsers(
         dest="source", required=True
@@ -309,7 +295,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("sample", help="draw seeded samples from a model")
     g.add_argument("--model", required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--count", type=int, default=1)
+    g.add_argument("--count", type=_at_least(0), default=1)
     g.add_argument("--max-chars", type=int, default=1024)
     g.add_argument("--temperature", type=float, default=1.0)
     g.add_argument("--prompt", default="")
@@ -321,26 +307,21 @@ def build_parser() -> _Parser:
     score = sub.add_parser("score", help="classify model outputs").add_subparsers(
         dest="kind", required=True
     )
-    g = score.add_parser("cube")
-    g.add_argument("--prompts", required=True)
-    g.add_argument("--outputs", required=True)
-    g.add_argument("--max-chars", type=int, default=1024)
-    g.add_argument("--json", default=None)
-    g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score)
-    g = score.add_parser("sudoku")
-    g.add_argument("--prompts", required=True)
-    g.add_argument("--outputs", required=True)
-    g.add_argument("--lenient-clues", dest="strict_clues", action="store_false")
-    g.add_argument("--json", default=None)
-    g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score)
-    g = score.add_parser("maze")
-    g.add_argument("--outputs", required=True)
-    g.add_argument("--jsonl", action="store_true")
-    g.add_argument("--json", default=None)
-    g.add_argument("--meta", default=None)
-    g.set_defaults(func=_cmd_score, prompts=None)
+
+    def add_score(kind, *flags, prompts=True):
+        g = score.add_parser(kind)
+        if prompts:
+            g.add_argument("--prompts", required=True)
+        g.add_argument("--outputs", required=True)
+        for flag, options in flags:
+            g.add_argument(flag, **options)
+        g.add_argument("--json", default=None)
+        g.add_argument("--meta", default=None)
+        g.set_defaults(func=_cmd_score, prompts=None)
+
+    add_score("cube", ("--max-chars", dict(type=int, default=1024)))
+    add_score("sudoku", ("--lenient-clues", dict(dest="strict_clues", action="store_false")))
+    add_score("maze", ("--jsonl", dict(action="store_true")), prompts=False)
 
     return parser
 

@@ -298,9 +298,30 @@ def write_meta(records: list[PuzzleRecord], path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 
-def read_meta(path) -> list[dict]:
+_JSON_TYPE_NAMES = {str: "string", dict: "object"}
+
+
+def read_json_lines(path, expected: type) -> list:
+    """The value on each non-blank line of a JSON-lines file; each must be
+    an `expected` (str or dict). Errors name the file line."""
     with open(path, encoding="utf-8") as handle:
-        return [json.loads(line) for line in handle if line.strip()]
+        rows = handle.read().split("\n")
+    values = []
+    for line, row in enumerate(rows, start=1):
+        if row.strip():
+            try:
+                value = json.loads(row)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"line {line}: {exc}") from exc
+            if not isinstance(value, expected):
+                wanted = _JSON_TYPE_NAMES[expected]
+                raise ValueError(f"line {line}: expected a JSON {wanted}, got {type(value).__name__}")
+            values.append(value)
+    return values
+
+
+def read_meta(path) -> list[dict]:
+    return read_json_lines(path, dict)
 
 
 def parse_corpus_text(text: str) -> list[PuzzleRecord]:

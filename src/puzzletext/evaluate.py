@@ -10,7 +10,6 @@ digits for sudoku, and the fraction of the shortest path walked for mazes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -275,7 +274,10 @@ def format_report(report: EvalReport) -> str:
 
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as handle:
-        return handle.read().split("\n")
+        lines = handle.read().split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def ingest_external_outputs(
@@ -296,28 +298,16 @@ def ingest_external_outputs(
     issues: list[corpus_mod.RowIssue] = []
     verdicts: list[SampleVerdict] = []
     if kind == "maze":
-        with open(outputs_path, encoding="utf-8") as handle:
-            text = handle.read()
-        if not jsonl:
-            return [classify_maze(chunk) for chunk in corpus_mod.split_framed_stream(text)], issues
-        for line, row in enumerate(text.split("\n"), start=1):
-            if row.strip():
-                try:
-                    sample = json.loads(row)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"line {line}: {exc}") from exc
-                if not isinstance(sample, str):
-                    raise ValueError(f"line {line}: expected a JSON string, got {type(sample).__name__}")
-                verdicts.append(classify_maze(sample))
-        return verdicts, issues
+        if jsonl:
+            samples = corpus_mod.read_json_lines(outputs_path, str)
+        else:
+            with open(outputs_path, encoding="utf-8") as handle:
+                samples = corpus_mod.split_framed_stream(handle.read())
+        return [classify_maze(sample) for sample in samples], issues
     if kind not in ("cube", "sudoku"):
         raise ValueError(f"unknown kind {kind!r}")
     prompts = _read_lines(prompts_path)
     outputs = _read_lines(outputs_path)
-    while prompts and prompts[-1] == "":
-        prompts.pop()
-    while outputs and outputs[-1] == "":
-        outputs.pop()
     if len(prompts) != len(outputs):
         raise LineCountMismatchError(len(prompts), len(outputs))
     for line, (prompt, output) in enumerate(zip(prompts, outputs), start=1):

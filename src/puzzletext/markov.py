@@ -65,20 +65,20 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
     )
 
 
-def _context_counts(model: CharMarkovModel, history: str) -> dict[str, int]:
+def _context_counts(model: CharMarkovModel, history: str) -> tuple[dict[str, int], float]:
+    """Next-character counts after the last `order` chars of history, and
+    their smoothed total: the denominator of every conditional."""
     context = history[-model.order:] if model.order else ""
     bucket = model.counts.get(context)
     if bucket is None:
         bucket = model.char_counts  # backoff; may itself be empty
-    return bucket
+    return bucket, sum(bucket.values()) + model.alpha * len(model.alphabet)
 
 
 def conditional_prob(model: CharMarkovModel, history: str, char: str) -> float:
     """Smoothed P(char | last `order` chars of history)."""
-    bucket = _context_counts(model, history)
-    total = sum(bucket.values())
-    vocab = len(model.alphabet)
-    return (bucket.get(char, 0) + model.alpha) / (total + model.alpha * vocab)
+    bucket, total = _context_counts(model, history)
+    return (bucket.get(char, 0) + model.alpha) / total
 
 
 def sample(
@@ -97,14 +97,12 @@ def sample(
         raise ValueError("temperature must be > 0")
     rng = random.Random(rng_seed)
     alphabet = model.alphabet
-    vocab = len(alphabet)
     alpha = model.alpha
     history = prompt
     out: list[str] = []
     tail = ""  # rolling window for end-token detection
     for _ in range(max_chars):
-        bucket = _context_counts(model, history)
-        total = sum(bucket.values()) + alpha * vocab
+        bucket, total = _context_counts(model, history)
         weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
         if temperature != 1.0:
             logs = [math.log(w) / temperature for w in weights]

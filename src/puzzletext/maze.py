@@ -18,6 +18,7 @@ NORTH, EAST, SOUTH, WEST = 1, 2, 4, 8
 UP, RIGHT, DOWN, LEFT = "^^", ">>", "vv", "<<"
 ARROWS = (UP, RIGHT, DOWN, LEFT)
 ENTRY_MARK = "**"
+_CELL_TOKENS = ("", ENTRY_MARK, *ARROWS)  # what a cell interior may hold, stripped
 
 # (dx, dy, wall bit leaving the cell, opposite bit entering the neighbor)
 _STEPS = {
@@ -242,17 +243,12 @@ def render_maze(maze: Maze, path: MazePath | None = None) -> str:
     return "\n".join(line.rstrip() for line in lines)
 
 
-def _parse_lines(text: str):
-    lines = [line.rstrip() for line in text.split("\n")]
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     """Invert render_maze: recover wall masks and, when an entry mark is
     present, the path walk. Trailing whitespace is ignored per line."""
-    lines = _parse_lines(text)
+    lines = [line.rstrip() for line in text.split("\n")]
+    while lines and lines[-1] == "":
+        lines.pop()
     if len(lines) < 3 or len(lines) % 2 == 0:
         raise MazeGeometryError(len(lines), 0, "maze text needs 2*height+1 lines")
     height = (len(lines) - 1) // 2
@@ -261,76 +257,52 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
         raise MazeGeometryError(1, len(top), "wall line length must be 4*width+1")
     width = (len(top) - 1) // 4
 
-    horizontal = []  # (height+1) x width booleans
-    tokens = [[None] * width for _ in range(height)]
-    vertical = []  # height x (width+1) booleans
+    walls = [[0] * width for _ in range(height)]
+    tokens = {}  # (x, y) -> non-blank cell token
     for row in range(height + 1):
         line = lines[2 * row]
         if len(line) != 4 * width + 1:
             raise MazeGeometryError(2 * row + 1, len(line), "wall line length mismatch")
-        segs = []
         for x in range(width):
             col = 4 * x
             if line[col] != "+":
                 raise MazeGeometryError(2 * row + 1, col + 1, "expected '+'")
             seg = line[col + 1: col + 4]
             if seg == "---":
-                segs.append(True)
-            elif seg == "   ":
-                segs.append(False)
-            else:
+                if row < height:
+                    walls[row][x] |= NORTH
+                if row:
+                    walls[row - 1][x] |= SOUTH
+            elif seg != "   ":
                 raise MazeGeometryError(2 * row + 1, col + 2, "expected '---' or spaces")
         if line[4 * width] != "+":
             raise MazeGeometryError(2 * row + 1, 4 * width + 1, "expected '+'")
-        horizontal.append(segs)
         if row == height:
             break
         body = lines[2 * row + 1]
         if len(body) != 4 * width + 1:
             raise MazeGeometryError(2 * row + 2, len(body), "cell line length mismatch")
-        vert = []
+        masks = walls[row]
         for x in range(width + 1):
             col = 4 * x
             if body[col] == "|":
-                vert.append(True)
-            elif body[col] == " ":
-                vert.append(False)
-            else:
+                if x < width:
+                    masks[x] |= WEST
+                if x:
+                    masks[x - 1] |= EAST
+            elif body[col] != " ":
                 raise MazeGeometryError(2 * row + 2, col + 1, "expected '|' or space")
             if x < width:
                 cell = body[col + 1: col + 4].strip()
-                if cell not in ("", ENTRY_MARK, *ARROWS):
+                if cell not in _CELL_TOKENS:
                     raise MazeTokenError(2 * row + 2, col + 2, cell)
-                tokens[row][x] = cell
-        vertical.append(vert)
+                if cell:
+                    tokens[(x, row)] = cell
+    maze = Maze(width, height, tuple(map(tuple, walls)))
 
-    walls = []
-    for y in range(height):
-        row_masks = []
-        for x in range(width):
-            mask = 0
-            if horizontal[y][x]:
-                mask |= NORTH
-            if horizontal[y + 1][x]:
-                mask |= SOUTH
-            if vertical[y][x]:
-                mask |= WEST
-            if vertical[y][x + 1]:
-                mask |= EAST
-            row_masks.append(mask)
-        walls.append(tuple(row_masks))
-    maze = Maze(width, height, tuple(walls))
-
-    arrow_cells = {
-        (x, y): tok
-        for y in range(height)
-        for x in range(width)
-        if tokens[y][x] in ARROWS
-        for tok in (tokens[y][x],)
-    }
-    entry_cells = [(x, y) for y in range(height) for x in range(width) if tokens[y][x] == ENTRY_MARK]
+    entry_cells = [cell for cell, token in tokens.items() if token == ENTRY_MARK]
     if not entry_cells:
-        if arrow_cells:
+        if tokens:
             raise DanglingPathError("arrow tokens present without an entry mark")
         return maze, None
     if len(entry_cells) > 1:
@@ -339,22 +311,22 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     # Rebuild the walk: each step enters the cell holding its arrow token.
     steps = []
     position = entry_cells[0]
-    remaining = dict(arrow_cells)
+    del tokens[position]  # the rest are arrow cells
     while True:
         x, y = position
         candidates = []
         for token in (UP, RIGHT, DOWN, LEFT):
             dx, dy, _, _ = _STEPS[token]
             neighbor = (x + dx, y + dy)
-            if remaining.get(neighbor) == token:
+            if tokens.get(neighbor) == token:
                 candidates.append((token, neighbor))
         if not candidates:
             break
         if len(candidates) > 1:
             raise DanglingPathError("path branches; not a single walk")
         token, position = candidates[0]
-        del remaining[position]
+        del tokens[position]
         steps.append(token)
-    if remaining:
+    if tokens:
         raise DanglingPathError("arrow tokens not connected to the entry walk")
     return maze, tuple(steps)

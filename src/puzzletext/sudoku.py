@@ -104,14 +104,15 @@ def is_complete(grid: SudokuGrid) -> bool:
     return 0 not in grid.cells
 
 
+# The three unit numbers of each cell: rows 0-8, columns 9-17, blocks 18-26.
 _CELL_UNITS = tuple(
-    (i // 9, 9 + i % 9, 18 + (i // 27) * 3 + (i % 9) // 3) for i in range(81)
+    tuple(u for u, unit in enumerate(ROW_UNITS + COLUMN_UNITS + BLOCK_UNITS) if i in unit)
+    for i in range(81)
 )
 
 
 def _make_masks(cells):
-    # masks[u] bit d set when digit d is already used in unit u;
-    # units 0-8 rows, 9-17 columns, 18-26 blocks.
+    # masks[u] bit d set when digit d is already used in unit u
     masks = [0] * 27
     for i, digit in enumerate(cells):
         if digit:
@@ -123,35 +124,24 @@ def _make_masks(cells):
     return masks
 
 
-def _candidates(masks, cell):
-    used = 0
-    for u in _CELL_UNITS[cell]:
-        used |= masks[u]
-    return [d for d in range(1, 10) if not used & (1 << d)]
-
-
-def _pick_blank(cells, masks):
-    # fewest candidates first, ties by lowest cell index
-    best = None
-    best_count = 10
-    for i, digit in enumerate(cells):
-        if digit == 0:
-            n = len(_candidates(masks, i))
-            if n < best_count:
-                best, best_count = i, n
-                if n <= 1:
-                    break
-    return best
-
-
 def _solve_cells(cells, masks, limit, solutions, rng=None):
     """Backtracking search; appends up to `limit` completed cell tuples.
-    Digits are tried in ascending order, or shuffled by `rng` when given."""
-    cell = _pick_blank(cells, masks)
+    Each node fills the blank with the fewest candidates, ties to the lowest
+    index. Digits are tried in ascending order, or shuffled by `rng` when given."""
+    cell, free, fewest = None, 0, 10
+    for i, digit in enumerate(cells):
+        if digit == 0:
+            row, column, block = _CELL_UNITS[i]
+            options = ~(masks[row] | masks[column] | masks[block]) & 0b1111111110
+            count = options.bit_count()
+            if count < fewest:
+                cell, free, fewest = i, options, count
+                if count <= 1:
+                    break
     if cell is None:
         solutions.append(tuple(cells))
         return len(solutions) >= limit
-    digits = _candidates(masks, cell)
+    digits = [d for d in range(1, 10) if free >> d & 1]
     if rng is not None:
         rng.shuffle(digits)
     for digit in digits:

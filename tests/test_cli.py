@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,12 +6,16 @@ import pytest
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cli import run
-from puzzletext.cube import SOLVED_FACELETS
-from puzzletext.maze import parse_maze, validate_path
+from puzzletext.cube import SOLVED_FACELETS, FaceletCube, apply_formula, encode_facelets, parse_formula
+from puzzletext.maze import generate_maze, parse_maze, render_maze, validate_path
 
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def scrambled(formula):
+    return encode_facelets(apply_formula(FaceletCube(), parse_formula(formula)))
 
 
 # --- generation ---
@@ -48,7 +53,10 @@ def test_gen_seed_is_mandatory(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sizes, entry", [("4x", "4x"), ("4x4,", ""), ("4x4,5", "5"), ("axb", "axb")])
+@pytest.mark.parametrize("sizes, entry", [
+    ("4x", "4x"), ("4x4,", ""), ("4x4,5", "5"), ("axb", "axb"),
+    ("\u0664x\u0664", "\u0664x\u0664"), ("+4x4", "+4x4"), ("4x4,4_0x4", "4_0x4"),
+])
 def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     out = tmp_path / "maze.txt"
     code = run(["gen", "maze", "--seed", "1", "--total", "2", "--sizes", sizes, "--out", str(out)])
@@ -56,6 +64,24 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     err = capsys.readouterr().err
     assert "usage" in err
     assert f"invalid maze size {entry!r} (expected WxH)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "cube", "--seed", "1", "--total", "-5"], "argument --total: must be at least 0, got -5"),
+    (["gen", "maze", "--seed", "1", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
+    (["gen", "sudoku", "--seed", "1", "--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
+    (["sample", "--model", "m.json", "--seed", "0", "--count", "-2"], "argument --count: must be at least 0, got -2"),
+    (["gen", "cube", "--seed", "1", "--total", "x"], "argument --total: invalid int value: 'x'"),
+    (["gen", "maze", "--seed", "1", "--jobs", "1.5"], "argument --jobs: invalid int value: '1.5'"),
+    (["sample", "--model", "m.json", "--seed", "0", "--count", "two"], "argument --count: invalid int value: 'two'"),
+])
+def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert err.endswith(f"error: {message}\n")
     assert not out.exists()
 
 
@@ -220,19 +246,38 @@ def test_score_sudoku(tmp_path, capsys):
     assert "correct" in capsys.readouterr().out
 
 
+# a fully valid solved grid that disagrees with the sample's clues
+OTHER_SOLVED_SUDOKU = "123456789456789123789123456214365897365897214897214365531642978642978531978531642"
+
+
 def test_score_sudoku_lenient_clues(tmp_path, capsys):
-    # a fully valid solved grid that disagrees with the sample's clues
-    other = "123456789456789123789123456214365897365897214897214365531642978642978531978531642"
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
     prompts.write_text(SAMPLE_SUDOKU_PUZZLE + "\n", encoding="utf-8")
-    outputs.write_text(other + "\n", encoding="utf-8")
+    outputs.write_text(OTHER_SOLVED_SUDOKU + "\n", encoding="utf-8")
     strict, lenient = tmp_path / "strict.json", tmp_path / "lenient.json"
     base = ["score", "sudoku", "--prompts", str(prompts), "--outputs", str(outputs)]
     assert run(base + ["--json", str(strict)]) == 0
     assert run(base + ["--lenient-clues", "--json", str(lenient)]) == 0
     assert json.loads(read(strict))["counts"]["invalid"] == 1
     assert json.loads(read(lenient))["counts"]["correct"] == 1
+
+
+@pytest.mark.parametrize("meta, message", [
+    ('{"scramble_length": 1}\n[1]\n', "line 2: expected a JSON object, got list"),
+    ('\n"R"\n', "line 2: expected a JSON object, got str"),
+    ('{"scramble_length": 1}\n{not json\n', "line 2: Expecting property name enclosed in double quotes"),
+])
+def test_score_bad_meta_line_is_data_error(tmp_path, capsys, meta, message):
+    prompts, outputs, meta_path = tmp_path / "p.txt", tmp_path / "o.txt", tmp_path / "m.jsonl"
+    prompts.write_text(scrambled("R") + "\n", encoding="utf-8")
+    outputs.write_text("R'\n", encoding="utf-8")
+    meta_path.write_text(meta, encoding="utf-8")
+    argv = ["score", "cube", "--prompts", str(prompts), "--outputs", str(outputs), "--meta", str(meta_path)]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_score_maze_jsonl_non_string_line_is_data_error(tmp_path, capsys):
@@ -268,3 +313,187 @@ def test_unknown_command_is_usage_error(capsys):
 
 def test_missing_file_is_data_error(tmp_path, capsys):
     assert run(["train", "--corpus", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "m.json")]) == 2
+
+
+# --- transcript ---
+
+
+# One invocation per line, split on whitespace, run in order in one directory.
+TRANSCRIPT = f"""
+--help
+--version
+--bogus
+frobnicate
+gen --help
+gen
+gen --bogus
+gen cube --help
+gen cube
+gen cube --bogus
+gen sudoku --help
+gen sudoku
+gen sudoku --bogus
+gen maze --help
+gen maze
+gen maze --bogus
+ingest --help
+ingest
+ingest --bogus
+ingest sudoku-csv --help
+ingest sudoku-csv
+ingest sudoku-csv --bogus
+split --help
+split
+split --bogus
+solve --help
+solve
+solve --bogus
+solve cube --help
+solve cube
+solve cube --bogus
+solve sudoku --help
+solve sudoku
+solve sudoku --bogus
+solve maze --help
+solve maze --bogus
+render --help
+render
+render --bogus
+render cube --help
+render cube
+render cube --bogus
+render sudoku --help
+render sudoku
+render sudoku --bogus
+render maze --help
+render maze
+render maze --bogus
+train --help
+train
+train --bogus
+sample --help
+sample
+sample --bogus
+score --help
+score
+score --bogus
+score cube --help
+score cube
+score cube --bogus
+score sudoku --help
+score sudoku
+score sudoku --bogus
+score maze --help
+score maze
+score maze --bogus
+gen cube --seed 7 --total 10 --max-scramble 5 --out cube.txt
+gen cube --seed 7 --total 0 --out zero.txt
+gen cube --seed 7 --total 7 --out bad.txt
+gen cube --seed 7 --total x --out bad.txt
+gen cube --seed 7 --total 5 --max-scramble 0 --out bad.txt
+gen sudoku --seed 3 --total 2 --clue-min 34 --clue-max 35 --out sudoku.txt
+gen sudoku --seed 3 --total 2 --clue-min 30 --clue-max 30 --allow-multiple --out multi.txt
+gen sudoku --seed 3 --total 2 --clue-min 10 --out bad.txt
+gen maze --seed 1 --total 6 --sizes 4x4,5x5 --jobs 1 --out maze.txt
+gen maze --seed 1 --total 2 --out default.txt
+gen maze --seed 1 --total 2 --sizes 1x4 --out bad.txt
+gen maze --seed 1 --total 2 --sizes 4x --out bad.txt
+gen maze --seed 1 --total 2 --sizes axb --out bad.txt
+gen maze --seed 1 --total 2 --sizes 4x4,5 --out bad.txt
+gen maze --seed x --out bad.txt
+gen maze --seed 1 --jobs x --out bad.txt
+ingest sudoku-csv --csv games.csv --out ingested.txt
+ingest sudoku-csv --csv noheader.csv --out bad.txt
+ingest sudoku-csv --csv missing.csv --out bad.txt
+split --in cube.txt --seed 2 --train-out train.txt --test-out test.txt
+split --in cube.txt --seed 2 --test-fraction 0.5 --train-out train5.txt --test-out test5.txt
+split --in cube.txt --seed 2 --test-fraction 1.5 --train-out t.txt --test-out u.txt
+split --in missing.txt --seed 2 --train-out t.txt --test-out u.txt
+split --in maze.txt --seed 2 --train-out maze_train.txt --test-out maze_test.txt
+solve cube --state {SOLVED_FACELETS}
+solve cube --state {scrambled("R")}
+solve cube --state {scrambled("R U F")} --max-depth 2
+solve cube --state UUU
+solve sudoku --grid {SAMPLE_SUDOKU_PUZZLE}
+solve sudoku --grid 123
+solve sudoku --grid {"55" + "0" * 79}
+solve maze --in maze_unsolved.txt
+solve maze --in maze_unsolved.txt --strategy dfs
+solve maze --in maze_unsolved.txt --strategy astar
+solve maze --in bad_maze.txt
+solve maze --in missing.txt
+render cube --state {scrambled("R U")}
+render cube --state UUU
+render sudoku --grid {SAMPLE_SUDOKU_PUZZLE}
+render sudoku --grid {"5000500" + "0" * 74} --mark-violations
+render sudoku --grid 12x
+render maze --seed 4
+render maze --seed 4 --width 3 --height 2 --solved
+render maze --seed 4 --width 1
+train --corpus maze.txt --order 3 --out model.json
+train --corpus maze.txt --order 2 --alpha 0.5 --out model2.json
+train --corpus empty.txt --out bad.json
+train --corpus maze.txt --alpha 0 --out bad.json
+train --corpus missing.txt --out bad.json
+sample --model model.json --seed 0 --count 2 --max-chars 60 --prompt <|startoftext|>[WP]
+sample --model model.json --seed 0 --count 3 --max-chars 80 --prompt-file prompt.txt --out samples.jsonl --jsonl
+sample --model model.json --seed 5 --count 2 --max-chars 60 --temperature 0.5 --out samples.txt
+sample --model model.json --seed 0 --count 0 --out zero_samples.txt
+sample --model model.json --seed 0 --max-chars 0
+sample --model model.json --seed 0 --temperature 0
+sample --model missing.json --seed 0
+sample --model model.json --seed 0 --count x
+score cube --prompts cube_prompts.txt --outputs cube_outputs.txt
+score cube --prompts cube_prompts.txt --outputs cube_outputs.txt --max-chars 2 --json cube_report.json --meta cube_meta.jsonl
+score cube --prompts cube_prompts.txt --outputs cube_short.txt
+score cube --prompts cube_prompts.txt --outputs cube_outputs.txt --meta meta_short.jsonl
+score cube --prompts missing.txt --outputs cube_outputs.txt
+score sudoku --prompts sudoku_prompts.txt --outputs sudoku_outputs.txt
+score sudoku --prompts sudoku_prompts.txt --outputs sudoku_outputs.txt --lenient-clues --json sudoku_report.json
+score maze --outputs maze.txt --meta maze.txt.meta.jsonl --json maze_report.json
+score maze --outputs samples.jsonl --jsonl
+score maze --outputs nonstring.jsonl --jsonl
+score maze --outputs badjson.jsonl --jsonl
+score maze --outputs empty.txt
+score maze --outputs maze.txt --meta meta_short.jsonl
+"""
+
+TRANSCRIPT_INPUTS = {
+    "games.csv": f"quizzes,solutions\n{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n123,456\n",
+    "noheader.csv": f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n",
+    "maze_unsolved.txt": render_maze(generate_maze(4, 4, 4)) + "\n",
+    "bad_maze.txt": "not a maze\n",
+    "empty.txt": "",
+    "prompt.txt": "<|startoftext|>[WP]\n",
+    "cube_prompts.txt": f"{scrambled('R')}\n{scrambled('R U')}\nXYZ\n{scrambled('F2')}\n",
+    "cube_outputs.txt": "R'\nU' R'\nR R\nQ\n",
+    "cube_short.txt": "R'\n",
+    "cube_meta.jsonl": "".join(
+        json.dumps({"kind": "cube", "seed": 1, "scramble_length": n}) + "\n" for n in (1, 2, 1)),
+    "meta_short.jsonl": '{"kind": "cube", "scramble_length": 1}\n',
+    "sudoku_prompts.txt": f"{SAMPLE_SUDOKU_PUZZLE}\n" * 2 + f"123\n{SAMPLE_SUDOKU_PUZZLE}\n" * 2,
+    "sudoku_outputs.txt": f"{SAMPLE_SUDOKU_SOLUTION}\n{SAMPLE_SUDOKU_PUZZLE}\n{SAMPLE_SUDOKU_SOLUTION}\njunk\n"
+    f"{SAMPLE_SUDOKU_SOLUTION}\n{OTHER_SOLVED_SUDOKU}\n",
+    "nonstring.jsonl": '"not a maze"\n123\n',
+    "badjson.jsonl": '"not a maze"\n{not json\n',
+}
+
+# sha256 of the transcript below, recorded before the CLI's argument groups were shared.
+PINNED_TRANSCRIPT_SHA256 = "e55a6629d1d138216b0830284692c0d34bfe763468b9a2f11aafaefaa5a6a352"
+
+
+def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):
+    """Exit code, stdout, stderr and every file in the directory after each
+    invocation; usage errors, help and data errors included."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    for name, text in TRANSCRIPT_INPUTS.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    digest = hashlib.sha256()
+    for line in ["", *TRANSCRIPT.strip().split("\n")]:  # "" runs with no arguments
+        code = run(line.split())
+        out, err = capsys.readouterr()
+        digest.update(f"$ {line}\n{code}\n{out}\n{err}\n".encode())
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes() + b"\n")
+    assert digest.hexdigest() == PINNED_TRANSCRIPT_SHA256

@@ -1,4 +1,6 @@
+import hashlib
 import random
+import re
 
 import pytest
 
@@ -17,6 +19,7 @@ from puzzletext.maze import (
     MazeSizeError,
     MazeTokenError,
     InvalidPathError,
+    MazeParseError,
     generate_maze,
     parse_maze,
     path_prefix_length,
@@ -289,3 +292,51 @@ def test_parse_arrows_without_entry_mark():
     text = render_maze(maze, path).replace("**", "  ", 1)
     with pytest.raises(DanglingPathError):
         parse_maze(text)
+
+
+def mutated_renders(seed, count):
+    """Seeded `render_maze` outputs with up to three character substitutions,
+    deletions or insertions from the codec's alphabet, or a swapped path token."""
+    rng = random.Random(seed)
+    alphabet = " +-|^>v<*x\n"
+    for _ in range(count):
+        maze = generate_maze(rng.randrange(10**6), rng.randint(2, 5), rng.randint(2, 5))
+        text = render_maze(maze, solve_maze(maze) if rng.random() < 0.6 else None)
+        for _ in range(rng.randint(0, 3)):
+            op = rng.randrange(4)
+            i = rng.randrange(len(text))
+            if op == 0:
+                text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+            elif op == 1:
+                text = text[:i] + text[i + 1:]
+            elif op == 2:
+                text = text[:i] + rng.choice(alphabet) + text[i:]
+            else:
+                tokens = [m.start() for m in re.finditer(r"\^\^|>>|vv|<<|\*\*", text)]
+                if tokens:
+                    j = rng.choice(tokens)
+                    text = text[:j] + rng.choice((UP, RIGHT, DOWN, LEFT, "**")) + text[j + 2:]
+        yield text
+
+
+def parse_outcome(text):
+    try:
+        maze, path = parse_maze(text)
+    except MazeParseError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None), getattr(exc, "column", None))
+    return (maze.width, maze.height, maze.walls, path)
+
+
+# sha256 of the outcomes below, recorded before the parser became one pass.
+PINNED_PARSE_SHA256 = "925e83e2eeae074577be73f5afacb41e0ba9ca2021fc725f6d7b69daa7d62498"
+
+
+def test_parse_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    kinds = set()
+    for text in mutated_renders(2024, 4000):
+        outcome = parse_outcome(text)
+        kinds.add(outcome[0] if isinstance(outcome[0], str) else "parsed")
+        digest.update(repr(outcome).encode() + b"\n")
+    assert kinds == {"parsed", "MazeGeometryError", "MazeTokenError", "DanglingPathError"}
+    assert digest.hexdigest() == PINNED_PARSE_SHA256
