@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import compress, product
+from operator import itemgetter
 from typing import NamedTuple
 
 ROW_UNITS = tuple(tuple(r * 9 + c for c in range(9)) for r in range(9))
@@ -76,6 +78,32 @@ def format_grid81(grid: SudokuGrid) -> str:
     return "".join(str(d) for d in grid.cells)
 
 
+_UNITS = ROW_UNITS + COLUMN_UNITS + BLOCK_UNITS
+# find_violations works on bytes: the 27 units' cells laid end to end (243
+# bytes), then one 0/1 copy of those per digit 1-9, digit-major (2,187 bytes).
+_UNIT_CELLS = itemgetter(*[i for unit in _UNITS for i in unit])
+_ONE_HOT = [bytes(digit) + b"\x01" + bytes(255 - digit) for digit in range(1, 10)]
+_AT_LEAST_TWO = bytes(2) + b"\x01" * 254
+# Multiplying 0/1 bytes by this puts each 9-byte unit's count in its last
+# byte; no count exceeds 9, so nothing carries.
+_NINE_ONES = int.from_bytes(b"\x01" * 9, "little")
+# digit-major (digit * 27 + unit) to unit-major (unit * 9 + digit)
+_BY_UNIT = itemgetter(*[d * 27 + u for u in range(27) for d in range(9)])
+# for each 9-byte 0/1 mask with two or more ones, the getter that picks the
+# masked cells out of a unit as a tuple
+_PICK = {
+    bytes(bits): itemgetter(*compress(range(9), bits))
+    for bits in product((0, 1), repeat=9)
+    if sum(bits) >= 2
+}
+# per (unit, digit) in output order: kind, index, digit, the unit's cells and
+# the slice of the one-hot bytes over them
+_UNIT_DIGITS = tuple(
+    (kind, u % 9, digit + 1, _UNITS[u], slice(digit * 243 + u * 9, digit * 243 + u * 9 + 9))
+    for u, kind in enumerate(("row",) * 9 + ("column",) * 9 + ("block",) * 9)
+    for digit in range(9)
+)
+
 _tuple_new = tuple.__new__
 
 
@@ -85,18 +113,17 @@ def find_violations(grid: SudokuGrid) -> list[Violation]:
     Order is deterministic: rows 0-8, then columns, then blocks, digits
     ascending within each unit. Blanks are exempt.
     """
-    cells = grid.cells
+    by_unit = bytes(_UNIT_CELLS(grid.cells))
+    one_hot = b"".join([by_unit.translate(table) for table in _ONE_HOT])
+    sums = int.from_bytes(one_hot, "little") * _NINE_ONES
+    counts = sums.to_bytes(len(one_hot) + 8, "little")[8::9]
     violations = []
-    for kind, units in (("row", ROW_UNITS), ("column", COLUMN_UNITS), ("block", BLOCK_UNITS)):
-        for index, unit in enumerate(units):
-            counts = [0] * 10
-            for i in unit:
-                counts[cells[i]] += 1
-            for digit in range(1, 10):
-                if counts[digit] >= 2:
-                    positions = tuple(i for i in unit if cells[i] == digit)
-                    # what Violation(...) runs, minus its Python-level __new__
-                    violations.append(_tuple_new(Violation, (kind, index, digit, positions)))
+    for kind, index, digit, unit, span in compress(
+        _UNIT_DIGITS, _BY_UNIT(counts.translate(_AT_LEAST_TWO))
+    ):
+        positions = _PICK[one_hot[span]](unit)
+        # what Violation(...) runs, minus its Python-level __new__
+        violations.append(_tuple_new(Violation, (kind, index, digit, positions)))
     return violations
 
 
@@ -106,7 +133,7 @@ def is_complete(grid: SudokuGrid) -> bool:
 
 # The three unit numbers of each cell: rows 0-8, columns 9-17, blocks 18-26.
 _CELL_UNITS = tuple(
-    tuple(u for u, unit in enumerate(ROW_UNITS + COLUMN_UNITS + BLOCK_UNITS) if i in unit)
+    tuple(u for u, unit in enumerate(_UNITS) if i in unit)
     for i in range(81)
 )
 

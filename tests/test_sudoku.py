@@ -129,6 +129,15 @@ def test_violations_match_brute_force_scan():
         assert find_violations(grid) == brute_force_violations(grid)
 
 
+def test_violations_when_every_unit_repeats_one_digit_nine_times():
+    # the largest count a unit can hold, in every unit and for every digit
+    for digit in range(1, 10):
+        grid = SudokuGrid((digit,) * 81)
+        violations = find_violations(grid)
+        assert len(violations) == 27
+        assert violations == brute_force_violations(grid)
+
+
 # --- solving ---
 
 
