@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_text
 from . import corpus as corpus_mod
 from . import evaluate as evaluate_mod
 from . import markov as markov_mod
@@ -34,6 +34,13 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: error: {message}")
+
+    def _check_value(self, action, value):
+        # Later argparse releases format the value with str() and no longer quote the
+        # choices; build the message here so usage errors read the same on every Python.
+        if action.choices is not None and value not in action.choices:
+            choices = ", ".join(map(repr, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
 
 def _at_least(minimum: int):
@@ -108,8 +115,7 @@ def _cmd_solve_sudoku(args) -> int:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+    return read_text(path)
 
 
 def _cmd_solve_maze(args) -> int:
@@ -182,8 +188,6 @@ def _cmd_score(args) -> int:
     for issue in issues:
         print(f"skipped line {issue.line}: {issue.reason}", file=sys.stderr)
     params = corpus_mod.read_meta(args.meta) if args.meta else None
-    if params is not None and len(params) != len(verdicts):
-        raise ValueError(f"meta sidecar has {len(params)} rows, expected {len(verdicts)}")
     report = evaluate_mod.aggregate(verdicts, params)
     print(evaluate_mod.format_report(report))
     if args.json:

@@ -20,7 +20,7 @@ import multiprocessing
 import random
 from dataclasses import dataclass, field
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_text
 from .cube import (
     FaceletCube,
     apply_formula,
@@ -74,7 +74,6 @@ class RowIssue:
 class CorpusSplit:
     train: list[PuzzleRecord]
     test: list[PuzzleRecord]
-    seed: int
 
 
 def canonical_key(record: PuzzleRecord) -> tuple[str, str]:
@@ -282,7 +281,7 @@ def dedup_and_split(
             unique.append(record)
     random.Random(rng_seed).shuffle(unique)
     n_test = int(len(unique) * test_fraction + 0.5)
-    return CorpusSplit(train=unique[n_test:], test=unique[:n_test], seed=rng_seed)
+    return CorpusSplit(train=unique[n_test:], test=unique[:n_test])
 
 
 def corpus_text(records: list[PuzzleRecord]) -> str:
@@ -304,10 +303,8 @@ _JSON_TYPE_NAMES = {str: "string", dict: "object"}
 def read_json_lines(path, expected: type) -> list:
     """The value on each non-blank line of a JSON-lines file; each must be
     an `expected` (str or dict). Errors name the file line."""
-    with open(path, encoding="utf-8") as handle:
-        rows = handle.read().split("\n")
     values = []
-    for line, row in enumerate(rows, start=1):
+    for line, row in enumerate(read_text(path).split("\n"), start=1):
         if row.strip():
             try:
                 value = json.loads(row)
@@ -325,29 +322,11 @@ def read_meta(path) -> list[dict]:
 
 
 def parse_corpus_text(text: str) -> list[PuzzleRecord]:
-    records = []
-    buffer: list[str] | None = None
-    for line in text.split("\n"):
-        if buffer is None:
-            if not line:
-                continue
-            if line.endswith(END_TOKEN):
-                records.append(parse_record(line))
-            else:
-                buffer = [line]
-        else:
-            buffer.append(line)
-            if line == END_TOKEN:
-                records.append(parse_record("\n".join(buffer)))
-                buffer = None
-    if buffer is not None:
-        raise FramingError("unterminated record at end of corpus")
-    return records
+    return [parse_record(chunk) for chunk in split_framed_stream(text)]
 
 
 def read_corpus(path) -> list[PuzzleRecord]:
-    with open(path, encoding="utf-8") as handle:
-        return parse_corpus_text(handle.read())
+    return parse_corpus_text(read_text(path))
 
 
 def split_framed_stream(text: str) -> list[str]:

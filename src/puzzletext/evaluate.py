@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
 from . import corpus as corpus_mod
+from ._util import read_text
 from .cube import (
     FACES,
     FaceletCube,
@@ -206,10 +207,10 @@ def aggregate(
     """Counts, percentages (one decimal, halves away from zero), progress
     histograms per kind, and class breakdowns per generation parameter when
     a parallel list of per-sample parameter dicts is supplied."""
+    if params is not None and len(params) != len(verdicts):
+        raise ValueError(f"meta sidecar has {len(params)} rows, expected {len(verdicts)}")
     if not verdicts:
         raise EmptyInputError("no verdicts to aggregate")
-    if params is not None and len(params) != len(verdicts):
-        raise ValueError("params list must align with verdicts")
     counts = {INVALID: 0, INCORRECT: 0, CORRECT: 0}
     histogram: dict[str, dict[str, int]] = {}
     breakdown: dict[str, dict[str, dict[str, int]]] = {}
@@ -273,8 +274,7 @@ def format_report(report: EvalReport) -> str:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().split("\n")
+    lines = read_text(path).split("\n")
     while lines and lines[-1] == "":
         lines.pop()
     return lines
@@ -301,8 +301,7 @@ def ingest_external_outputs(
         if jsonl:
             samples = corpus_mod.read_json_lines(outputs_path, str)
         else:
-            with open(outputs_path, encoding="utf-8") as handle:
-                samples = corpus_mod.split_framed_stream(handle.read())
+            samples = corpus_mod.split_framed_stream(read_text(outputs_path))
         return [classify_maze(sample) for sample in samples], issues
     if kind not in ("cube", "sudoku"):
         raise ValueError(f"unknown kind {kind!r}")

@@ -12,9 +12,9 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ._util import atomic_write_text
+from ._util import atomic_write_text, read_text
 
 END_TOKEN = "<|endoftext|>"
 
@@ -35,7 +35,7 @@ class CharMarkovModel:
     alpha: float
     alphabet: tuple[str, ...]  # sorted, unique
     counts: dict[str, dict[str, int]]  # context -> next char -> count
-    char_counts: dict[str, int] = field(default_factory=dict)  # backoff distribution
+    char_counts: dict[str, int]  # backoff distribution
 
 
 def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
@@ -151,8 +151,7 @@ def save_model(model: CharMarkovModel, path) -> None:
 
 
 def load_model(path) -> CharMarkovModel:
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = json.loads(read_text(path))
     if payload.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {payload.get('format')!r}")
     return CharMarkovModel(

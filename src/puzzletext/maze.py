@@ -141,20 +141,15 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
     start, goal = maze.entry, maze.exit
     if strategy == "bfs":
-        frontier = [start]
+        queue = [start]  # grows while it is read, so it is walked in BFS order
         came_from = {start: None}
-        while frontier:
-            next_frontier = []
-            for x, y in frontier:
-                if (x, y) == goal:
-                    frontier = []
-                    break
-                for token, nx, ny in _neighbors(maze, x, y):
-                    if (nx, ny) not in came_from:
-                        came_from[(nx, ny)] = ((x, y), token)
-                        next_frontier.append((nx, ny))
-            else:
-                frontier = next_frontier
+        for x, y in queue:
+            if (x, y) == goal:
+                break
+            for token, nx, ny in _neighbors(maze, x, y):
+                if (nx, ny) not in came_from:
+                    came_from[(nx, ny)] = ((x, y), token)
+                    queue.append((nx, ny))
         if goal not in came_from:
             raise MazeUnreachableError("exit not reachable from entry")
         steps = []

@@ -188,10 +188,10 @@ def solve_sudoku(grid: SudokuGrid) -> SudokuGrid:
     """First completion under the deterministic ordering (fewest-candidate
     cell, digits ascending). Raises if the input has violations or no
     completion exists."""
-    if find_violations(grid):
-        raise InconsistentGridError("input grid has repeated digits")
     cells = list(grid.cells)
     masks = _make_masks(cells)
+    if masks is None:
+        raise InconsistentGridError("input grid has repeated digits")
     solutions: list[tuple[int, ...]] = []
     _solve_cells(cells, masks, 1, solutions)
     if not solutions:

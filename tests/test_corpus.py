@@ -245,10 +245,17 @@ def test_ingest_requires_header(tmp_path):
 
 
 def test_write_read_corpus_round_trip(tmp_path):
-    records = build_cube_corpus(13, 10, 5) + build_maze_corpus(14, 2, [(4, 4)])
+    records = (
+        build_cube_corpus(13, 10, 5)
+        + build_maze_corpus(14, 2, [(4, 4)])
+        + build_sudoku_corpus(12, 2, (30, 34))
+        + build_maze_corpus(11, 1, [(4, 4)])
+    )
     path = tmp_path / "corpus.txt"
     write_corpus(records, path)
     assert read_corpus(path) == records
+    spaced = "\n\n" + "\n\n\n".join(serialize_record(r) for r in records) + "\n\n"
+    assert parse_corpus_text(spaced) == records
 
 
 def test_parse_corpus_text_rejects_unterminated():
@@ -256,6 +263,13 @@ def test_parse_corpus_text_rejects_unterminated():
     text = serialize_record(record)
     with pytest.raises(FramingError):
         parse_corpus_text(text.rsplit("\n", 1)[0])
+
+
+def test_parse_corpus_text_rejects_inner_start_line():
+    (record,) = build_maze_corpus(15, 1, [(4, 4)])
+    text = serialize_record(record).replace("\n[RESPONSE]\n", "\n<|startoftext|>x\n[RESPONSE]\n")
+    with pytest.raises(FramingError):
+        parse_corpus_text(text)
 
 
 def test_split_framed_stream_isolates_chunks():

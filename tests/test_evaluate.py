@@ -243,6 +243,16 @@ def test_aggregate_partition():
 def test_aggregate_empty_rejected():
     with pytest.raises(EmptyInputError):
         aggregate([])
+    with pytest.raises(EmptyInputError):
+        aggregate([], [])
+
+
+def test_aggregate_rejects_misaligned_params():
+    with pytest.raises(ValueError, match="^meta sidecar has 0 rows, expected 2$"):
+        aggregate(make_verdicts(1, 0, 1), [])
+    # the length check comes first, so an empty run with meta rows names both counts
+    with pytest.raises(ValueError, match="^meta sidecar has 1 rows, expected 0$"):
+        aggregate([], [{"kind": "cube"}])
 
 
 def test_aggregate_breakdown_by_scramble_length():
@@ -326,6 +336,32 @@ def test_ingest_maze_stream(tmp_path):
     assert not issues
     assert len(verdicts) == 3
     assert all(v.status == "correct" for v in verdicts)
+
+
+def test_carriage_return_stays_in_its_line(tmp_path):
+    prompts = tmp_path / "p.txt"
+    outputs = tmp_path / "o.txt"
+    cubes = corpus.build_cube_corpus(5, 3, 1)
+    prompts.write_bytes("".join(r.prompt + "\n" for r in cubes).encode())
+    outputs.write_bytes(f"{cubes[0].response}\nR\rR'\n{cubes[2].response}\n".encode())
+    verdicts, _ = ingest_external_outputs(prompts, outputs, "cube")
+    assert [(v.status, v.reason) for v in verdicts] == [
+        ("correct", None), ("invalid", "syntax_error:1"), ("correct", None)]
+
+    outputs.write_bytes("".join(r.response + "\r\n" for r in cubes).encode())
+    verdicts, _ = ingest_external_outputs(prompts, outputs, "cube")
+    assert [v.reason for v in verdicts] == ["syntax_error:1"] * 3
+
+    (sudoku,) = corpus.build_sudoku_corpus(5, 1, (30, 30))
+    prompts.write_bytes(f"{sudoku.prompt}\n".encode())
+    outputs.write_bytes(f"{sudoku.response[:40]}\r{sudoku.response[40:]}\n".encode())
+    verdicts, _ = ingest_external_outputs(prompts, outputs, "sudoku")
+    assert [v.reason for v in verdicts] == ["bad_grid"]
+
+    mazes = corpus.build_maze_corpus(5, 3, [(4, 4)])
+    outputs.write_bytes(corpus.corpus_text(mazes).replace("\n", "\r\n").encode())
+    verdicts, _ = ingest_external_outputs(None, outputs, "maze")
+    assert [v.reason for v in verdicts] == ["framing"] * 3
 
 
 def test_ingest_maze_jsonl(tmp_path):
