@@ -43,16 +43,22 @@ class _Parser(argparse.ArgumentParser):
             raise argparse.ArgumentError(action, f"invalid choice: {value!r} (choose from {choices})")
 
 
-def _at_least(minimum: int):
-    """argparse type for a count: an int no smaller than `minimum`."""
+def _number(convert, low, *, strict=False, below=None):
+    """argparse type: `convert(text)` (int or float) no smaller than `low`,
+    greater than it if `strict`, and less than `below` if given. NaN fails
+    every bound."""
+    bound = f"{'greater than' if strict else 'at least'} {low}"
+    if below is not None:
+        bound += f" and less than {below}"
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    def parse(text: str):
+        value = convert(text)
+        in_range = (low < value if strict else low <= value) and (below is None or value < below)
+        if not in_range:
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
 
-    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value: 'x'"
     return parse
 
 
@@ -214,17 +220,17 @@ def build_parser() -> _Parser:
         # `build` looks its builder up on each call, so a wrapped builder is the one run
         g = gen.add_parser(kind, help=summary)
         g.add_argument("--seed", type=int, required=True)
-        g.add_argument("--total", type=_at_least(0), default=total)
+        g.add_argument("--total", type=_number(int, 0), default=total)
         for flag, options in flags:
             g.add_argument(flag, **options)
         g.add_argument("--out", required=True)
-        g.add_argument("--jobs", type=_at_least(1), default=1, help="parallel workers (default 1)")
+        g.add_argument("--jobs", type=_number(int, 1), default=1, help="parallel workers (default 1)")
         g.set_defaults(func=_cmd_gen, build=build)
 
     add_gen(
         "cube", "cube scramble/solution pairs", 5000,
         lambda a: corpus_mod.build_cube_corpus(a.seed, a.total, a.max_scramble, jobs=a.jobs),
-        ("--max-scramble", dict(type=int, default=5)),
+        ("--max-scramble", dict(type=_number(int, 1), default=5)),
     )
     add_gen(
         "sudoku", "sudoku puzzle/solution pairs", 1000,
@@ -252,7 +258,7 @@ def build_parser() -> _Parser:
     g = sub.add_parser("split", help="dedup a corpus and split train/test")
     g.add_argument("--in", dest="in_path", required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--test-fraction", type=float, default=0.2)
+    g.add_argument("--test-fraction", type=_number(float, 0, strict=True, below=1), default=0.2)
     g.add_argument("--train-out", required=True)
     g.add_argument("--test-out", required=True)
     g.set_defaults(func=_cmd_split)
@@ -262,7 +268,7 @@ def build_parser() -> _Parser:
     )
     g = solve.add_parser("cube")
     g.add_argument("--state", required=True, help="54-character cube string")
-    g.add_argument("--max-depth", type=int, default=6)
+    g.add_argument("--max-depth", type=_number(int, 0), default=6)
     g.set_defaults(func=_cmd_solve_cube)
     g = solve.add_parser("sudoku")
     g.add_argument("--grid", required=True, help="81-digit puzzle, 0 for blanks")
@@ -291,17 +297,17 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("train", help="train the character-level baseline")
     g.add_argument("--corpus", required=True)
-    g.add_argument("--order", type=int, default=6)
-    g.add_argument("--alpha", type=float, default=0.1)
+    g.add_argument("--order", type=_number(int, 0), default=6)
+    g.add_argument("--alpha", type=_number(float, 0, strict=True), default=0.1)
     g.add_argument("--out", required=True)
     g.set_defaults(func=_cmd_train)
 
     g = sub.add_parser("sample", help="draw seeded samples from a model")
     g.add_argument("--model", required=True)
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--count", type=_at_least(0), default=1)
-    g.add_argument("--max-chars", type=int, default=1024)
-    g.add_argument("--temperature", type=float, default=1.0)
+    g.add_argument("--count", type=_number(int, 0), default=1)
+    g.add_argument("--max-chars", type=_number(int, 1), default=1024)
+    g.add_argument("--temperature", type=_number(float, 0, strict=True), default=1.0)
     g.add_argument("--prompt", default="")
     g.add_argument("--prompt-file", default=None)
     g.add_argument("--out", default=None)
@@ -323,7 +329,7 @@ def build_parser() -> _Parser:
         g.add_argument("--meta", default=None)
         g.set_defaults(func=_cmd_score, prompts=None)
 
-    add_score("cube", ("--max-chars", dict(type=int, default=1024)))
+    add_score("cube", ("--max-chars", dict(type=_number(int, 1), default=1024)))
     add_score("sudoku", ("--lenient-clues", dict(dest="strict_clues", action="store_false")))
     add_score("maze", ("--jsonl", dict(action="store_true")), prompts=False)
 

@@ -61,8 +61,6 @@ class SampleVerdict:
     status: str  # invalid / incorrect / correct
     reason: str | None  # set only for invalid samples
     progress: object  # kind-specific metric; None for invalid samples
-    generated_text: str
-    prompt_key: str
 
 
 @dataclass(slots=True)
@@ -104,7 +102,7 @@ def classify_cube(
         raise BadPromptError(str(exc)) from exc
 
     def verdict(status, reason=None, progress=None):
-        return SampleVerdict("cube", status, reason, progress, response, initial)
+        return SampleVerdict("cube", status, reason, progress)
 
     if len(response) > max_chars:
         return verdict(INVALID, "too_long")
@@ -131,7 +129,7 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
         raise BadPromptError("prompt puzzle has repeated digits")
 
     def verdict(status, reason=None, progress=None):
-        return SampleVerdict("sudoku", status, reason, progress, response, puzzle)
+        return SampleVerdict("sudoku", status, reason, progress)
 
     try:
         response_grid = parse_grid81(response)
@@ -157,8 +155,8 @@ def classify_maze(record_text: str) -> SampleVerdict:
     between the halves are all invalid. Progress for non-solving paths is
     the walked fraction of the shortest path."""
 
-    def verdict(status, reason=None, progress=None, key=""):
-        return SampleVerdict("maze", status, reason, progress, record_text, key)
+    def verdict(status, reason=None, progress=None):
+        return SampleVerdict("maze", status, reason, progress)
 
     try:
         record = corpus_mod.parse_record(record_text)
@@ -173,20 +171,20 @@ def classify_maze(record_text: str) -> SampleVerdict:
     try:
         response_maze, path = parse_maze(record.response)
     except MazeParseError:
-        return verdict(INVALID, "response_maze", key=record.prompt)
+        return verdict(INVALID, "response_maze")
     if prompt_maze != response_maze:
-        return verdict(INVALID, "wall_mismatch", key=record.prompt)
+        return verdict(INVALID, "wall_mismatch")
     steps = path or ()
     result = validate_path(response_maze, steps)
     if result.ok:
-        return verdict(CORRECT, progress=1.0, key=record.prompt)
+        return verdict(CORRECT, progress=1.0)
     try:
         shortest = len(solve_maze(prompt_maze, "bfs"))
     except MazeUnreachableError:
-        return verdict(INCORRECT, progress=0.0, key=record.prompt)
+        return verdict(INCORRECT, progress=0.0)
     walked = path_prefix_length(response_maze, steps)
     progress = min(1.0, walked / shortest) if shortest else 0.0
-    return verdict(INCORRECT, progress=progress, key=record.prompt)
+    return verdict(INCORRECT, progress=progress)
 
 
 def _percentage(count: int, total: int) -> float:

@@ -12,7 +12,10 @@ from __future__ import annotations
 import json
 import math
 import random
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 from ._util import atomic_write_text, read_text
 
@@ -45,23 +48,34 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
         raise ValueError("order must be >= 0")
     if alpha <= 0:
         raise ValueError("alpha must be > 0")
+    # A line window is one line with its "\n" plus the `order` characters after
+    # it: it holds every (order+1)-gram that starts in the line. Repeated lines
+    # in a corpus repeat their windows, so each distinct window is split into
+    # grams once and its grams are weighted by how often it occurs.
+    windows: Counter[str] = Counter()
+    find = corpus_text.find
+    start = 0
+    while start < len(corpus_text):
+        end = find("\n", start) + 1 or len(corpus_text)
+        windows[corpus_text[start: end + order]] += 1
+        start = end
+    grams: Counter[str] = Counter()
+    for window, times in windows.items():
+        for i in range(len(window) - order):
+            grams[window[i: i + order + 1]] += times
     counts: dict[str, dict[str, int]] = {}
-    for i in range(len(corpus_text) - order):
-        context = corpus_text[i: i + order]
-        nxt = corpus_text[i + order]
-        bucket = counts.get(context)
-        if bucket is None:
-            bucket = counts[context] = {}
-        bucket[nxt] = bucket.get(nxt, 0) + 1
-    char_counts: dict[str, int] = {}
-    for char in corpus_text:
-        char_counts[char] = char_counts.get(char, 0) + 1
+    # Every position before the last `order` starts exactly one gram, so the
+    # grams' first characters count those positions; the tail is counted here.
+    char_counts = Counter(corpus_text[max(len(corpus_text) - order, 0):])
+    for gram, times in grams.items():
+        counts.setdefault(gram[:-1], {})[gram[-1]] = times
+        char_counts[gram[0]] += times
     return CharMarkovModel(
         order=order,
         alpha=alpha,
         alphabet=tuple(sorted(char_counts)),
         counts=counts,
-        char_counts=char_counts,
+        char_counts=dict(char_counts),
     )
 
 
@@ -98,30 +112,30 @@ def sample(
     rng = random.Random(rng_seed)
     alphabet = model.alphabet
     alpha = model.alpha
-    history = prompt
+    last = len(alphabet) - 1
+    order = model.order
+    context = prompt[-order:] if order else ""
+    tables: dict[str, list[float]] = {}  # context -> cumulative weights over alphabet
     out: list[str] = []
-    tail = ""  # rolling window for end-token detection
     for _ in range(max_chars):
-        bucket, total = _context_counts(model, history)
-        weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
-        if temperature != 1.0:
-            logs = [math.log(w) / temperature for w in weights]
-            peak = max(logs)
-            weights = [math.exp(l - peak) for l in logs]
-            scale = sum(weights)
-            weights = [w / scale for w in weights]
-        r = rng.random()
-        acc = 0.0
-        char = alphabet[-1]
-        for c, w in zip(alphabet, weights):
-            acc += w
-            if r < acc:
-                char = c
-                break
+        cumulative = tables.get(context)
+        if cumulative is None:
+            bucket, total = _context_counts(model, context)
+            weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
+            if temperature != 1.0:
+                logs = [math.log(w) / temperature for w in weights]
+                peak = max(logs)
+                weights = [math.exp(l - peak) for l in logs]
+                scale = sum(weights)
+                weights = [w / scale for w in weights]
+            cumulative = tables[context] = list(accumulate(weights))
+        # the first character whose running weight exceeds the draw; the last
+        # one when rounding leaves the final sum at or below it
+        char = alphabet[min(bisect_right(cumulative, rng.random()), last)]
         out.append(char)
-        history += char
-        tail = (tail + char)[-len(END_TOKEN):]
-        if tail == END_TOKEN:
+        if order:
+            context = (context + char)[-order:]
+        if char == END_TOKEN[-1] and "".join(out[-len(END_TOKEN):]) == END_TOKEN:
             break
     return "".join(out)
 

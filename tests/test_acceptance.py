@@ -299,7 +299,7 @@ def test_c7_percentage_rounding_on_reference_counts():
     for status, count in (("invalid", 11), ("incorrect", 576), ("correct", 14)):
         progress = None if status == "invalid" else (0, 0)
         verdicts.extend(
-            SampleVerdict("cube", status, None, progress, "", "") for _ in range(count)
+            SampleVerdict("cube", status, None, progress) for _ in range(count)
         )
     report = aggregate(verdicts)
     assert report.total == 601

@@ -75,6 +75,19 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     (["gen", "cube", "--seed", "1", "--total", "x"], "argument --total: invalid int value: 'x'"),
     (["gen", "maze", "--seed", "1", "--jobs", "1.5"], "argument --jobs: invalid int value: '1.5'"),
     (["sample", "--model", "m.json", "--seed", "0", "--count", "two"], "argument --count: invalid int value: 'two'"),
+    (["sample", "--model", "m.json", "--seed", "0", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
+    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "0"], "argument --temperature: must be greater than 0, got 0.0"),
+    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "nan"], "argument --temperature: must be greater than 0, got nan"),
+    (["score", "cube", "--prompts", "p.txt", "--outputs", "o.txt", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
+    (["train", "--corpus", "c.txt", "--order", "-1"], "argument --order: must be at least 0, got -1"),
+    (["train", "--corpus", "c.txt", "--alpha", "-0.5"], "argument --alpha: must be greater than 0, got -0.5"),
+    (["gen", "cube", "--seed", "1", "--max-scramble", "0"], "argument --max-scramble: must be at least 1, got 0"),
+    (["solve", "cube", "--state", SOLVED_FACELETS, "--max-depth", "-1"], "argument --max-depth: must be at least 0, got -1"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "1.5"],
+     "argument --test-fraction: must be greater than 0 and less than 1, got 1.5"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "0"],
+     "argument --test-fraction: must be greater than 0 and less than 1, got 0.0"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "x"], "argument --test-fraction: invalid float value: 'x'"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
@@ -83,6 +96,15 @@ def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     assert err.startswith("usage: ")
     assert err.endswith(f"error: {message}\n")
     assert not out.exists()
+
+
+def test_numbers_at_their_bounds_are_accepted(tmp_path, capsys):
+    corpus_path, model_path = tmp_path / "c.txt", tmp_path / "m.json"
+    corpus_path.write_text("ab\nab\n", encoding="utf-8")
+    assert run(["train", "--corpus", str(corpus_path), "--order", "0", "--alpha", "1e-9", "--out", str(model_path)]) == 0
+    argv = ["sample", "--model", str(model_path), "--seed", "0", "--max-chars", "1", "--temperature", "1e-9"]
+    assert run(argv) == 0
+    assert len(capsys.readouterr().out) == 2  # one character and its newline
 
 
 def test_gen_maze_size_out_of_range_is_data_error(tmp_path, capsys):
@@ -413,6 +435,7 @@ split --in maze.txt --seed 2 --train-out maze_train.txt --test-out maze_test.txt
 solve cube --state {SOLVED_FACELETS}
 solve cube --state {scrambled("R")}
 solve cube --state {scrambled("R U F")} --max-depth 2
+solve cube --state {scrambled("R")} --max-depth -1
 solve cube --state UUU
 solve sudoku --grid {SAMPLE_SUDOKU_PUZZLE}
 solve sudoku --grid 123
@@ -434,6 +457,7 @@ train --corpus maze.txt --order 3 --out model.json
 train --corpus maze.txt --order 2 --alpha 0.5 --out model2.json
 train --corpus empty.txt --out bad.json
 train --corpus maze.txt --alpha 0 --out bad.json
+train --corpus maze.txt --order -1 --out bad.json
 train --corpus missing.txt --out bad.json
 sample --model model.json --seed 0 --count 2 --max-chars 60 --prompt <|startoftext|>[WP]
 sample --model model.json --seed 0 --count 3 --max-chars 80 --prompt-file prompt.txt --out samples.jsonl --jsonl
@@ -446,6 +470,7 @@ sample --model model.json --seed 0 --count x
 score cube --prompts cube_prompts.txt --outputs cube_outputs.txt
 score cube --prompts cube_prompts.txt --outputs cube_outputs.txt --max-chars 2 --json cube_report.json --meta cube_meta.jsonl
 score cube --prompts cube_prompts.txt --outputs cube_short.txt
+score cube --prompts cube_prompts.txt --outputs cube_outputs.txt --max-chars 0
 score cube --prompts cube_prompts.txt --outputs cube_outputs.txt --meta meta_short.jsonl
 score cube --prompts missing.txt --outputs cube_outputs.txt
 score sudoku --prompts sudoku_prompts.txt --outputs sudoku_outputs.txt
@@ -478,8 +503,9 @@ TRANSCRIPT_INPUTS = {
     "badjson.jsonl": '"not a maze"\n{not json\n',
 }
 
-# sha256 of the transcript below, recorded before the CLI's argument groups were shared.
-PINNED_TRANSCRIPT_SHA256 = "e55a6629d1d138216b0830284692c0d34bfe763468b9a2f11aafaefaa5a6a352"
+# sha256 of the transcript below. Re-recorded when out-of-range numeric flags became
+# usage errors: only those eight invocations changed (exit 2 -> 1, message names the flag).
+PINNED_TRANSCRIPT_SHA256 = "c71623dff213791371ae203707c62e4882c00f70b604ac00c050fc592ead6189"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

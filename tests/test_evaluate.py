@@ -39,7 +39,7 @@ def make_verdicts(invalid, incorrect, correct):
     for status, count in (("invalid", invalid), ("incorrect", incorrect), ("correct", correct)):
         for _ in range(count):
             progress = None if status == "invalid" else (0, 0)
-            verdicts.append(SampleVerdict("cube", status, None, progress, "", ""))
+            verdicts.append(SampleVerdict("cube", status, None, progress))
     return verdicts
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -50,6 +52,38 @@ def test_bad_parameters_rejected():
         train("ab", 1, 0.0)
 
 
+def naive_train(text, order):
+    """Per-position reference: one count for every (context, next char) pair
+    and every character of the text."""
+    counts = {}
+    for i in range(len(text) - order):
+        bucket = counts.setdefault(text[i: i + order], {})
+        bucket[text[i + order]] = bucket.get(text[i + order], 0) + 1
+    return counts, dict(Counter(text))
+
+
+TRAIN_TEXTS = {
+    "maze_corpus": corpus.corpus_text(corpus.build_maze_corpus(5, 40, [(4, 4), (5, 5)])),
+    "cube_records": corpus.corpus_text(corpus.build_cube_corpus(31, 50, 5)),
+    "no_newline": "abcabcabd",
+    "no_final_newline": "ab\ncd\nab\ncd\nefg",
+    "carriage_returns": "a\rb\r\nc\n\rd\na\rb\r\n\r\r",
+    "short_lines": "a\nb\n\nc\nde\n\n\na\nb\n",
+    "single_char": "x",
+}
+
+
+@pytest.mark.parametrize("order", range(8))
+@pytest.mark.parametrize("name", [*TRAIN_TEXTS, "order_plus_one"])
+def test_train_matches_per_position_counts(name, order):
+    text = TRAIN_TEXTS.get(name) or ("ab\n" * 4)[: order + 1]
+    model = train(text, order, 0.1)
+    counts, char_counts = naive_train(text, order)
+    assert model.counts == counts
+    assert model.char_counts == char_counts
+    assert model.alphabet == tuple(sorted(char_counts))
+
+
 # --- probabilities ---
 
 
@@ -97,6 +131,24 @@ def test_sample_stops_after_end_token():
     model = train("xy<|endoftext|>" * 40, 2, 0.01)
     out = sample(model, "xy", max_chars=500, rng_seed=1, temperature=1e-9)
     assert out == "<|endoftext|>"
+
+
+# sha256 of 8 seeded samples at each temperature, recorded with the per-character
+# linear-scan sampler.
+PINNED_SAMPLES_SHA256 = {
+    1.0: "a0149b81528e70d80702d2c8d9a5747badcce6201aea639a0972d3d7b08eae23",
+    0.5: "ea45b77c6a03df7fba037e08fab5a67000dac148b5cab82018329a22f98913c6",
+}
+
+
+@pytest.mark.parametrize("temperature", sorted(PINNED_SAMPLES_SHA256))
+def test_seeded_maze_samples_are_pinned(temperature):
+    model = train(TRAIN_TEXTS["maze_corpus"], 6, 0.1)
+    digest = hashlib.sha256()
+    for seed in range(8):
+        out = sample(model, "<|startoftext|>[WP]\n", max_chars=400, rng_seed=seed, temperature=temperature)
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == PINNED_SAMPLES_SHA256[temperature]
 
 
 def test_sample_parameter_validation():
