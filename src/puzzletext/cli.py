@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import __version__
@@ -46,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
 def _number(convert, low, *, strict=False, below=None):
     """argparse type: `convert(text)` (int or float) no smaller than `low`,
     greater than it if `strict`, and less than `below` if given. NaN fails
-    every bound."""
+    every bound, and infinity is refused as not finite."""
     bound = f"{'greater than' if strict else 'at least'} {low}"
     if below is not None:
         bound += f" and less than {below}"
@@ -56,6 +57,8 @@ def _number(convert, low, *, strict=False, below=None):
         in_range = (low < value if strict else low <= value) and (below is None or value < below)
         if not in_range:
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        if value == math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in "invalid int value: 'x'"
@@ -166,16 +169,8 @@ def _cmd_sample(args) -> int:
         prompt = _read_text(args.prompt_file)
     else:
         prompt = args.prompt
-    samples = []
-    for i in range(args.count):
-        continuation = markov_mod.sample(
-            model,
-            prompt,
-            max_chars=args.max_chars,
-            rng_seed=args.seed + i,
-            temperature=args.temperature,
-        )
-        samples.append(prompt + continuation)
+    draw = markov_mod.sampler(model, args.temperature)
+    samples = [prompt + draw(prompt, args.max_chars, args.seed + i) for i in range(args.count)]
     lines = [json.dumps(s) for s in samples] if args.jsonl else samples
     text = "".join(line + "\n" for line in lines)
     if args.out:

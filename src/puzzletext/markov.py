@@ -14,6 +14,7 @@ import math
 import random
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -46,8 +47,8 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
         raise EmptyCorpusError("training corpus is empty")
     if order < 0:
         raise ValueError("order must be >= 0")
-    if alpha <= 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be finite and > 0")
     # A line window is one line with its "\n" plus the `order` characters after
     # it: it holds every (order+1)-gram that starts in the line. Repeated lines
     # in a corpus repeat their windows, so each distinct window is split into
@@ -95,6 +96,50 @@ def conditional_prob(model: CharMarkovModel, history: str, char: str) -> float:
     return (bucket.get(char, 0) + model.alpha) / total
 
 
+def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., str]:
+    """A `draw(prompt, max_chars=1024, rng_seed=0)` function that samples like
+    `sample` at this temperature. Draws share one cumulative table per
+    context, built on first use, so a sampler reused across draws builds each
+    table once; the model is only read, and must not change while in use."""
+    if temperature <= 0:
+        raise ValueError("temperature must be > 0")
+    alphabet = model.alphabet
+    alpha = model.alpha
+    last = len(alphabet) - 1
+    order = model.order
+    tables: dict[str, list[float]] = {}  # context -> cumulative weights over alphabet
+
+    def draw(prompt: str, max_chars: int = 1024, rng_seed: int = 0) -> str:
+        if max_chars < 1:
+            raise ValueError("max_chars must be >= 1")
+        rng = random.Random(rng_seed)
+        context = prompt[-order:] if order else ""
+        out: list[str] = []
+        for _ in range(max_chars):
+            cumulative = tables.get(context)
+            if cumulative is None:
+                bucket, total = _context_counts(model, context)
+                weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
+                if temperature != 1.0:
+                    logs = [math.log(w) / temperature for w in weights]
+                    peak = max(logs)
+                    weights = [math.exp(l - peak) for l in logs]
+                    scale = sum(weights)
+                    weights = [w / scale for w in weights]
+                cumulative = tables[context] = list(accumulate(weights))
+            # the first character whose running weight exceeds the draw; the
+            # last one when rounding leaves the final sum at or below it
+            char = alphabet[min(bisect_right(cumulative, rng.random()), last)]
+            out.append(char)
+            if order:
+                context = (context + char)[-order:]
+            if char == END_TOKEN[-1] and "".join(out[-len(END_TOKEN):]) == END_TOKEN:
+                break
+        return "".join(out)
+
+    return draw
+
+
 def sample(
     model: CharMarkovModel,
     prompt: str,
@@ -105,39 +150,7 @@ def sample(
     """Deterministic continuation of `prompt`, up to max_chars characters,
     stopping early once the end token has been emitted in full. Returns the
     generated continuation only, without the prompt."""
-    if max_chars < 1:
-        raise ValueError("max_chars must be >= 1")
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    rng = random.Random(rng_seed)
-    alphabet = model.alphabet
-    alpha = model.alpha
-    last = len(alphabet) - 1
-    order = model.order
-    context = prompt[-order:] if order else ""
-    tables: dict[str, list[float]] = {}  # context -> cumulative weights over alphabet
-    out: list[str] = []
-    for _ in range(max_chars):
-        cumulative = tables.get(context)
-        if cumulative is None:
-            bucket, total = _context_counts(model, context)
-            weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
-            if temperature != 1.0:
-                logs = [math.log(w) / temperature for w in weights]
-                peak = max(logs)
-                weights = [math.exp(l - peak) for l in logs]
-                scale = sum(weights)
-                weights = [w / scale for w in weights]
-            cumulative = tables[context] = list(accumulate(weights))
-        # the first character whose running weight exceeds the draw; the last
-        # one when rounding leaves the final sum at or below it
-        char = alphabet[min(bisect_right(cumulative, rng.random()), last)]
-        out.append(char)
-        if order:
-            context = (context + char)[-order:]
-        if char == END_TOKEN[-1] and "".join(out[-len(END_TOKEN):]) == END_TOKEN:
-            break
-    return "".join(out)
+    return sampler(model, temperature)(prompt, max_chars, rng_seed)
 
 
 def cross_entropy(model: CharMarkovModel, text: str) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 NORTH, EAST, SOUTH, WEST = 1, 2, 4, 8
 
@@ -26,6 +27,12 @@ _STEPS = {
     RIGHT: (1, 0, EAST, WEST),
     DOWN: (0, 1, SOUTH, NORTH),
     LEFT: (-1, 0, WEST, EAST),
+}
+
+# token -> (line, column) offset in the render from the cell before the one
+# it marks, and the token as written there; the entry mark does not move
+_MARKS = {ENTRY_MARK: (0, 0, ENTRY_MARK.center(3))} | {
+    token: (2 * dy, 4 * dx, token.center(3)) for token, (dx, dy, _, _) in _STEPS.items()
 }
 
 
@@ -94,44 +101,51 @@ class PathVerdict:
         return self.kind == "valid"
 
 
+@lru_cache(maxsize=64)
+def _grid(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...], ...]:
+    """For each cell index y*width+x, its on-grid neighbors in N, E, S, W
+    order as (neighbor index, wall bit, opposite bit, token)."""
+    return tuple(
+        tuple(
+            ((y + dy) * width + x + dx, bit, opposite, token)
+            for token, (dx, dy, bit, opposite) in _STEPS.items()
+            if 0 <= x + dx < width and 0 <= y + dy < height
+        )
+        for y in range(height)
+        for x in range(width)
+    )
+
+
 def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
     """Seeded recursive-backtracker maze; perfect by construction, with the
     exit opening carved through the outer south wall."""
     if width < 2 or height < 2:
         raise MazeSizeError(f"maze must be at least 2x2, got {width}x{height}")
-    rng = random.Random(rng_seed)
-    full = NORTH | EAST | SOUTH | WEST
-    walls = [[full] * width for _ in range(height)]
-    visited = [[False] * width for _ in range(height)]
-    stack = [(0, 0)]
-    visited[0][0] = True
-    while stack:
-        x, y = stack[-1]
-        neighbors = []
-        for token, (dx, dy, bit, opposite) in _STEPS.items():
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < width and 0 <= ny < height and not visited[ny][nx]:
-                neighbors.append((nx, ny, bit, opposite))
-        if not neighbors:
-            stack.pop()
-            continue
-        nx, ny, bit, opposite = rng.choice(neighbors)
-        walls[y][x] &= ~bit
-        walls[ny][nx] &= ~opposite
-        visited[ny][nx] = True
-        stack.append((nx, ny))
-    walls[height - 1][width - 1] &= ~SOUTH  # exit opening
-    return Maze(width, height, tuple(tuple(row) for row in walls))
-
-
-def _neighbors(maze: Maze, x: int, y: int):
-    # deterministic N, E, S, W order
-    for token in (UP, RIGHT, DOWN, LEFT):
-        dx, dy, bit, _ = _STEPS[token]
-        if not maze.walls[y][x] & bit:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < maze.width and 0 <= ny < maze.height:
-                yield token, nx, ny
+    choice = random.Random(rng_seed).choice
+    grid = _grid(width, height)
+    walls = [NORTH | EAST | SOUTH | WEST] * (width * height)
+    visited = [False] * (width * height)
+    visited[0] = True
+    stack = []  # the cells below the current one on the backtracker's path
+    cell = 0
+    while True:
+        options = []  # a plain loop: before Python 3.12 a comprehension costs a call per step
+        for step in grid[cell]:
+            if not visited[step[0]]:
+                options.append(step)
+        if options:
+            neighbor, bit, opposite, _ = choice(options)
+            walls[cell] &= ~bit
+            walls[neighbor] &= ~opposite
+            visited[neighbor] = True
+            stack.append(cell)
+            cell = neighbor
+        elif stack:
+            cell = stack.pop()
+        else:
+            break
+    walls[-1] &= ~SOUTH  # exit opening
+    return Maze(width, height, tuple(tuple(walls[i: i + width]) for i in range(0, width * height, width)))
 
 
 def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
@@ -139,38 +153,41 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     path under N, E, S, W neighbor order. For perfect mazes they coincide."""
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
-    start, goal = maze.entry, maze.exit
+    grid = _grid(maze.width, maze.height)
+    walls = [mask for row in maze.walls for mask in row]
+    goal = len(walls) - 1
+    came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
     if strategy == "bfs":
-        queue = [start]  # grows while it is read, so it is walked in BFS order
-        came_from = {start: None}
-        for x, y in queue:
-            if (x, y) == goal:
+        queue = [0]  # grows while it is read, so it is walked in BFS order
+        for cell in queue:
+            if cell == goal:
                 break
-            for token, nx, ny in _neighbors(maze, x, y):
-                if (nx, ny) not in came_from:
-                    came_from[(nx, ny)] = ((x, y), token)
-                    queue.append((nx, ny))
-        if goal not in came_from:
-            raise MazeUnreachableError("exit not reachable from entry")
-        steps = []
-        node = goal
-        while came_from[node] is not None:
-            node, token = came_from[node]
-            steps.append(token)
-        return tuple(reversed(steps))
-    # DFS with an explicit stack
-    stack = [(start, ())]
-    seen = {start}
-    while stack:
-        (x, y), steps = stack.pop()
-        if (x, y) == goal:
-            return steps
-        # push reversed so N is explored first
-        for token, nx, ny in reversed(list(_neighbors(maze, x, y))):
-            if (nx, ny) not in seen:
-                seen.add((nx, ny))
-                stack.append(((nx, ny), steps + (token,)))
-    raise MazeUnreachableError("exit not reachable from entry")
+            mask = walls[cell]
+            for neighbor, bit, _, token in grid[cell]:
+                if not mask & bit and neighbor not in came_from:
+                    came_from[neighbor] = (cell, token)
+                    queue.append(neighbor)
+    else:
+        # a cell is claimed when pushed; pushing in reverse explores N first
+        stack = [0]
+        while stack:
+            cell = stack.pop()
+            if cell == goal:
+                break
+            mask = walls[cell]
+            for neighbor, bit, _, token in reversed(grid[cell]):
+                if not mask & bit and neighbor not in came_from:
+                    came_from[neighbor] = (cell, token)
+                    stack.append(neighbor)
+    if goal not in came_from:
+        raise MazeUnreachableError("exit not reachable from entry")
+    steps = []
+    link = came_from[goal]
+    while link is not None:
+        cell, token = link
+        steps.append(token)
+        link = came_from[cell]
+    return tuple(reversed(steps))
 
 
 def _walk(maze: Maze, path: MazePath) -> tuple[int, tuple[int, int]]:
@@ -204,38 +221,36 @@ def path_prefix_length(maze: Maze, path: MazePath) -> int:
     return _walk(maze, path)[0]
 
 
+@lru_cache(maxsize=4096)
+def _row_lines(masks: tuple[int, ...]) -> tuple[str, str]:
+    """The wall line above a row of cells and the row's body line with blank
+    interiors, both unstripped."""
+    wall = "".join(["+---" if mask & NORTH else "+   " for mask in masks]) + "+"
+    body = "".join(["|   " if mask & WEST else "    " for mask in masks]) + ("|" if masks[-1] & EAST else " ")
+    return wall, body
+
+
 def render_maze(maze: Maze, path: MazePath | None = None) -> str:
     """ASCII render; with a path, the entry shows "**" and every path cell
     shows the arrow of the step entering it, centered in the cell interior."""
-    interior = [["   "] * maze.width for _ in range(maze.height)]
     if path is not None:
         verdict = validate_path(maze, path)
         if not verdict.ok:
             raise InvalidPathError(f"path is not valid for this maze: {verdict.kind}")
-        x, y = maze.entry
-        interior[y][x] = ENTRY_MARK.center(3)
-        for token in path:
-            dx, dy, _, _ = _STEPS[token]
-            x, y = x + dx, y + dy
-            interior[y][x] = token.center(3)
     lines = []
-    for y in range(maze.height):
-        wall_line = []
-        body_line = []
-        for x in range(maze.width):
-            mask = maze.walls[y][x]
-            wall_line.append("+" + ("---" if mask & NORTH else "   "))
-            body_line.append(("|" if mask & WEST else " ") + interior[y][x])
-        wall_line.append("+")
-        body_line.append("|" if maze.walls[y][maze.width - 1] & EAST else " ")
-        lines.append("".join(wall_line))
-        lines.append("".join(body_line))
-    bottom = []
-    for x in range(maze.width):
-        bottom.append("+" + ("---" if maze.walls[maze.height - 1][x] & SOUTH else "   "))
-    bottom.append("+")
-    lines.append("".join(bottom))
-    return "\n".join(line.rstrip() for line in lines)
+    for masks in maze.walls:
+        lines += _row_lines(masks)
+    lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze.walls[-1]]) + "+")
+    if path is not None:
+        x, y = maze.entry
+        row, col = 2 * y + 1, 4 * x + 1  # where the entry's interior starts
+        for token in (ENTRY_MARK, *path):
+            drow, dcol, mark = _MARKS[token]
+            row += drow
+            col += dcol
+            line = lines[row]
+            lines[row] = line[:col] + mark + line[col + 3:]
+    return "\n".join([line.rstrip() for line in lines])
 
 
 def parse_maze(text: str) -> tuple[Maze, MazePath | None]:

@@ -81,12 +81,18 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     (["score", "cube", "--prompts", "p.txt", "--outputs", "o.txt", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
     (["train", "--corpus", "c.txt", "--order", "-1"], "argument --order: must be at least 0, got -1"),
     (["train", "--corpus", "c.txt", "--alpha", "-0.5"], "argument --alpha: must be greater than 0, got -0.5"),
+    (["train", "--corpus", "c.txt", "--alpha", "inf"], "argument --alpha: must be finite, got inf"),
+    (["train", "--corpus", "c.txt", "--alpha=-inf"], "argument --alpha: must be greater than 0, got -inf"),
+    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "inf"],
+     "argument --temperature: must be finite, got inf"),
     (["gen", "cube", "--seed", "1", "--max-scramble", "0"], "argument --max-scramble: must be at least 1, got 0"),
     (["solve", "cube", "--state", SOLVED_FACELETS, "--max-depth", "-1"], "argument --max-depth: must be at least 0, got -1"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "1.5"],
      "argument --test-fraction: must be greater than 0 and less than 1, got 1.5"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "0"],
      "argument --test-fraction: must be greater than 0 and less than 1, got 0.0"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "inf"],
+     "argument --test-fraction: must be greater than 0 and less than 1, got inf"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "x"], "argument --test-fraction: invalid float value: 'x'"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
@@ -430,6 +436,7 @@ ingest sudoku-csv --csv missing.csv --out bad.txt
 split --in cube.txt --seed 2 --train-out train.txt --test-out test.txt
 split --in cube.txt --seed 2 --test-fraction 0.5 --train-out train5.txt --test-out test5.txt
 split --in cube.txt --seed 2 --test-fraction 1.5 --train-out t.txt --test-out u.txt
+split --in cube.txt --seed 2 --test-fraction inf --train-out t.txt --test-out u.txt
 split --in missing.txt --seed 2 --train-out t.txt --test-out u.txt
 split --in maze.txt --seed 2 --train-out maze_train.txt --test-out maze_test.txt
 solve cube --state {SOLVED_FACELETS}
@@ -457,6 +464,7 @@ train --corpus maze.txt --order 3 --out model.json
 train --corpus maze.txt --order 2 --alpha 0.5 --out model2.json
 train --corpus empty.txt --out bad.json
 train --corpus maze.txt --alpha 0 --out bad.json
+train --corpus maze.txt --order 3 --alpha inf --out inf_model.json
 train --corpus maze.txt --order -1 --out bad.json
 train --corpus missing.txt --out bad.json
 sample --model model.json --seed 0 --count 2 --max-chars 60 --prompt <|startoftext|>[WP]
@@ -465,6 +473,8 @@ sample --model model.json --seed 5 --count 2 --max-chars 60 --temperature 0.5 --
 sample --model model.json --seed 0 --count 0 --out zero_samples.txt
 sample --model model.json --seed 0 --max-chars 0
 sample --model model.json --seed 0 --temperature 0
+sample --model model.json --seed 0 --max-chars 20 --temperature inf
+sample --model inf_model.json --seed 0 --max-chars 20
 sample --model missing.json --seed 0
 sample --model model.json --seed 0 --count x
 score cube --prompts cube_prompts.txt --outputs cube_outputs.txt
@@ -505,7 +515,10 @@ TRANSCRIPT_INPUTS = {
 
 # sha256 of the transcript below. Re-recorded when out-of-range numeric flags became
 # usage errors: only those eight invocations changed (exit 2 -> 1, message names the flag).
-PINNED_TRANSCRIPT_SHA256 = "c71623dff213791371ae203707c62e4882c00f70b604ac00c050fc592ead6189"
+# Re-recorded when float flags had to be finite: `train --alpha inf` and
+# `sample --temperature inf` became usage errors, so inf_model.json is never
+# written and sampling it is a missing-file data error.
+PINNED_TRANSCRIPT_SHA256 = "4972d5e09458de1044716572907c0b6df3ab7f24d8af39af4d1a50acfe731ebb"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

@@ -14,6 +14,7 @@ from puzzletext.markov import (
     cross_entropy,
     load_model,
     sample,
+    sampler,
     save_model,
     train,
 )
@@ -50,6 +51,12 @@ def test_bad_parameters_rejected():
         train("ab", -1, 0.1)
     with pytest.raises(ValueError):
         train("ab", 1, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_non_finite_alpha_rejected(alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+        train("ab", 1, alpha)
 
 
 def naive_train(text, order):
@@ -151,12 +158,30 @@ def test_seeded_maze_samples_are_pinned(temperature):
     assert digest.hexdigest() == PINNED_SAMPLES_SHA256[temperature]
 
 
+@pytest.mark.parametrize("temperature", [1.0, 0.5])
+def test_reused_sampler_matches_fresh_samples(temperature):
+    """One sampler's shared tables give every draw the bytes of a fresh
+    `sample` call, whatever the draws before it visited."""
+    model = train(TRAIN_TEXTS["maze_corpus"], 6, 0.1)
+    draw = sampler(model, temperature)
+    rng = random.Random(50)
+    prompts = ["<|startoftext|>[WP]\n", "", "+---+", "zzzzzzzz", "| ** |   |\n+", "<|endoftext|>", "x"]
+    for _ in range(50):
+        prompt = rng.choice(prompts)
+        seed, max_chars = rng.randrange(10**6), rng.choice((1, 7, 60, 400))
+        assert draw(prompt, max_chars, seed) == sample(model, prompt, max_chars, seed, temperature)
+
+
 def test_sample_parameter_validation():
     model = train("ab", 1, 0.1)
     with pytest.raises(ValueError):
         sample(model, "a", max_chars=0)
     with pytest.raises(ValueError):
         sample(model, "a", temperature=0.0)
+    with pytest.raises(ValueError):
+        sampler(model, 0.0)
+    with pytest.raises(ValueError):
+        sampler(model)("a", max_chars=0)
 
 
 # --- cross entropy ---

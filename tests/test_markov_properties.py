@@ -1,5 +1,6 @@
 """Property tests: the markov trainer and sampler against per-position
-references over generated texts, models, seeds and temperatures."""
+references over generated texts, models, seeds and temperatures, with one
+sampler reused across several draws."""
 import math
 import random
 
@@ -9,7 +10,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from puzzletext.markov import END_TOKEN, sample, train  # noqa: E402
+from puzzletext.markov import END_TOKEN, sample, sampler, train  # noqa: E402
 
 from test_markov import naive_train  # noqa: E402
 
@@ -78,3 +79,20 @@ def test_sample_matches_linear_scan(text, order, alpha, prompt, seed, temperatur
     assert sample(model, prompt, 120, seed, temperature) == linear_scan_sample(
         model, prompt, 120, seed, temperature
     )
+
+
+@FAST
+@given(
+    text=st.text(alphabet="ab\n<|>", min_size=1, max_size=120).map(lambda t: t + END_TOKEN),
+    order=st.integers(0, 4),
+    draws=st.lists(
+        st.tuples(st.text(alphabet="ab\nz", max_size=8), st.integers(0, 2**32), st.integers(1, 80)),
+        min_size=2, max_size=5),
+    temperature=st.one_of(st.just(1.0), st.floats(1e-3, 10.0)),
+)
+def test_reused_sampler_matches_linear_scan(text, order, draws, temperature):
+    """Several draws from one sampler, each against the reference."""
+    model = train(text, order, 0.1)
+    draw = sampler(model, temperature)
+    for prompt, seed, max_chars in draws:
+        assert draw(prompt, max_chars, seed) == linear_scan_sample(model, prompt, max_chars, seed, temperature)

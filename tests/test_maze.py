@@ -180,6 +180,54 @@ def test_solve_rejects_bad_strategy():
         solve_maze(generate_maze(1, 2, 2), "astar")
 
 
+_OFFSETS = {UP: (0, -1, NORTH), RIGHT: (1, 0, EAST), DOWN: (0, 1, SOUTH), LEFT: (-1, 0, WEST)}
+
+
+def knock_out_walls(maze, rng, count):
+    """The maze with `count` random internal walls removed from both sides,
+    so it may hold loops and more than one shortest path."""
+    walls = [list(row) for row in maze.walls]
+    for _ in range(count):
+        x, y = rng.randrange(maze.width), rng.randrange(maze.height)
+        dx, dy, bit = _OFFSETS[rng.choice((RIGHT, DOWN))]
+        if x + dx < maze.width and y + dy < maze.height:
+            walls[y][x] &= ~bit
+            walls[y + dy][x + dx] &= ~(NORTH if bit == SOUTH else WEST)
+    return Maze(maze.width, maze.height, tuple(map(tuple, walls)))
+
+
+def naive_bfs(maze):
+    """Coordinate BFS visiting neighbors in N, E, S, W order; a cell keeps
+    the first step that reached it."""
+    came_from = {maze.entry: None}
+    queue = [maze.entry]
+    for x, y in queue:
+        for token in (UP, RIGHT, DOWN, LEFT):
+            dx, dy, bit = _OFFSETS[token]
+            nx, ny = x + dx, y + dy
+            if (not maze.walls[y][x] & bit and 0 <= nx < maze.width and 0 <= ny < maze.height
+                    and (nx, ny) not in came_from):
+                came_from[(nx, ny)] = ((x, y), token)
+                queue.append((nx, ny))
+    steps = []
+    cell = maze.exit
+    while came_from[cell] is not None:
+        cell, token = came_from[cell]
+        steps.append(token)
+    return tuple(reversed(steps))
+
+
+def test_bfs_on_mazes_with_loops_matches_naive_bfs():
+    rng = random.Random(77)
+    for _ in range(200):
+        maze = generate_maze(rng.randrange(10**6), rng.randint(2, 8), rng.randint(2, 8))
+        looped = knock_out_walls(maze, rng, rng.randint(1, 12))
+        path = solve_maze(looped, "bfs")
+        assert path == naive_bfs(looped)
+        assert validate_path(looped, path).ok
+        assert validate_path(looped, solve_maze(looped, "dfs")).ok
+
+
 # --- path validation ---
 
 
@@ -340,3 +388,20 @@ def test_parse_outcomes_are_pinned():
         digest.update(repr(outcome).encode() + b"\n")
     assert kinds == {"parsed", "MazeGeometryError", "MazeTokenError", "DanglingPathError"}
     assert digest.hexdigest() == PINNED_PARSE_SHA256
+
+
+# sha256 of the write side below, recorded before generate_maze, solve_maze
+# and render_maze moved to flat cell indices.
+PINNED_WRITE_SHA256 = "1afa5bd5812ab8f3a51557d636cefe80686a04ad655b6ce918f7c29b0d01c546"
+
+
+def test_write_side_outcomes_are_pinned():
+    digest = hashlib.sha256()
+    for width in range(2, 7):
+        for height in range(2, 7):
+            for seed in range(5):
+                maze = generate_maze(seed, width, height)
+                bfs, dfs = solve_maze(maze, "bfs"), solve_maze(maze, "dfs")
+                outcome = (maze.walls, bfs, dfs, render_maze(maze), render_maze(maze, bfs))
+                digest.update(repr(outcome).encode() + b"\n")
+    assert digest.hexdigest() == PINNED_WRITE_SHA256
