@@ -81,19 +81,19 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     (["score", "cube", "--prompts", "p.txt", "--outputs", "o.txt", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
     (["train", "--corpus", "c.txt", "--order", "-1"], "argument --order: must be at least 0, got -1"),
     (["train", "--corpus", "c.txt", "--alpha", "-0.5"], "argument --alpha: must be greater than 0, got -0.5"),
-    (["train", "--corpus", "c.txt", "--alpha", "inf"], "argument --alpha: must be finite, got inf"),
-    (["train", "--corpus", "c.txt", "--alpha=-inf"], "argument --alpha: must be greater than 0, got -inf"),
-    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "inf"],
-     "argument --temperature: must be finite, got inf"),
     (["gen", "cube", "--seed", "1", "--max-scramble", "0"], "argument --max-scramble: must be at least 1, got 0"),
     (["solve", "cube", "--state", SOLVED_FACELETS, "--max-depth", "-1"], "argument --max-depth: must be at least 0, got -1"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "1.5"],
      "argument --test-fraction: must be greater than 0 and less than 1, got 1.5"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "0"],
      "argument --test-fraction: must be greater than 0 and less than 1, got 0.0"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "x"], "argument --test-fraction: invalid float value: 'x'"),
+    (["train", "--corpus", "c.txt", "--alpha", "inf"], "argument --alpha: must be finite, got inf"),
+    (["train", "--corpus", "c.txt", "--alpha=-inf"], "argument --alpha: must be greater than 0, got -inf"),
+    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "inf"],
+     "argument --temperature: must be finite, got inf"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "inf"],
      "argument --test-fraction: must be greater than 0 and less than 1, got inf"),
-    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "x"], "argument --test-fraction: invalid float value: 'x'"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
