@@ -99,15 +99,33 @@ def conditional_prob(model: CharMarkovModel, history: str, char: str) -> float:
 def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., str]:
     """A `draw(prompt, max_chars=1024, rng_seed=0)` function that samples like
     `sample` at this temperature. Draws share one cumulative table per
-    context, built on first use, so a sampler reused across draws builds each
-    table once; the model is only read, and must not change while in use."""
+    context seen in training, plus one backoff table for every unseen
+    context, each built on first use; so a reused sampler builds each table
+    once and holds at most len(model.counts) + 1 of them. The model is only
+    read, and must not change while in use."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     alphabet = model.alphabet
     alpha = model.alpha
     last = len(alphabet) - 1
     order = model.order
-    tables: dict[str, list[float]] = {}  # context -> cumulative weights over alphabet
+    counts = model.counts
+    tables: dict[str | None, list[float]] = {}  # seen context, or None for backoff -> cumulative weights
+
+    def table(context: str) -> list[float]:
+        key = context if context in counts else None
+        cumulative = tables.get(key)
+        if cumulative is None:
+            bucket, total = _context_counts(model, context)
+            weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
+            if temperature != 1.0:
+                logs = [math.log(w) / temperature for w in weights]
+                peak = max(logs)
+                weights = [math.exp(l - peak) for l in logs]
+                scale = sum(weights)
+                weights = [w / scale for w in weights]
+            cumulative = tables[key] = list(accumulate(weights))
+        return cumulative
 
     def draw(prompt: str, max_chars: int = 1024, rng_seed: int = 0) -> str:
         if max_chars < 1:
@@ -118,15 +136,7 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
         for _ in range(max_chars):
             cumulative = tables.get(context)
             if cumulative is None:
-                bucket, total = _context_counts(model, context)
-                weights = [(bucket.get(c, 0) + alpha) / total for c in alphabet]
-                if temperature != 1.0:
-                    logs = [math.log(w) / temperature for w in weights]
-                    peak = max(logs)
-                    weights = [math.exp(l - peak) for l in logs]
-                    scale = sum(weights)
-                    weights = [w / scale for w in weights]
-                cumulative = tables[context] = list(accumulate(weights))
+                cumulative = table(context)
             # the first character whose running weight exceeds the draw; the
             # last one when rounding leaves the final sum at or below it
             char = alphabet[min(bisect_right(cumulative, rng.random()), last)]

@@ -221,8 +221,16 @@ def path_prefix_length(maze: Maze, path: MazePath) -> int:
     return _walk(maze, path)[0]
 
 
+# A row's two lines draw no SOUTH wall (the next row's NORTH does), so the
+# row cache is keyed by the row's masks without it, as bytes. A generated
+# maze row of width w then has at most 2**(2w - 1) keys (its outer walls are
+# closed, and each inner wall is one cell's EAST and the next one's WEST),
+# 2,728 over widths 2 to 6, so every generated row fits the bound.
+_CLEAR_SOUTH = bytes(mask & ~SOUTH for mask in range(256))
+
+
 @lru_cache(maxsize=4096)
-def _row_lines(masks: tuple[int, ...]) -> tuple[str, str]:
+def _row_lines(masks: bytes) -> tuple[str, str]:
     """The wall line above a row of cells and the row's body line with blank
     interiors, both unstripped."""
     wall = "".join(["+---" if mask & NORTH else "+   " for mask in masks]) + "+"
@@ -239,7 +247,7 @@ def render_maze(maze: Maze, path: MazePath | None = None) -> str:
             raise InvalidPathError(f"path is not valid for this maze: {verdict.kind}")
     lines = []
     for masks in maze.walls:
-        lines += _row_lines(masks)
+        lines += _row_lines(bytes(masks).translate(_CLEAR_SOUTH))
     lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze.walls[-1]]) + "+")
     if path is not None:
         x, y = maze.entry

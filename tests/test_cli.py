@@ -474,7 +474,6 @@ sample --model model.json --seed 0 --count 0 --out zero_samples.txt
 sample --model model.json --seed 0 --max-chars 0
 sample --model model.json --seed 0 --temperature 0
 sample --model model.json --seed 0 --max-chars 20 --temperature inf
-sample --model inf_model.json --seed 0 --max-chars 20
 sample --model missing.json --seed 0
 sample --model model.json --seed 0 --count x
 score cube --prompts cube_prompts.txt --outputs cube_outputs.txt
@@ -517,8 +516,8 @@ TRANSCRIPT_INPUTS = {
 # usage errors: only those eight invocations changed (exit 2 -> 1, message names the flag).
 # Re-recorded when float flags had to be finite: `train --alpha inf` and
 # `sample --temperature inf` became usage errors, so inf_model.json is never
-# written and sampling it is a missing-file data error.
-PINNED_TRANSCRIPT_SHA256 = "4972d5e09458de1044716572907c0b6df3ab7f24d8af39af4d1a50acfe731ebb"
+# written.
+PINNED_TRANSCRIPT_SHA256 = "6e23fcdac2fec0d9e2c2ef2263e703317b5de4248790929fdb1e32f7c9f98386"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

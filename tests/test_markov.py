@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import math
 import random
 from collections import Counter
@@ -170,6 +171,20 @@ def test_reused_sampler_matches_fresh_samples(temperature):
         prompt = rng.choice(prompts)
         seed, max_chars = rng.randrange(10**6), rng.choice((1, 7, 60, 400))
         assert draw(prompt, max_chars, seed) == sample(model, prompt, max_chars, seed, temperature)
+
+
+def test_reused_sampler_holds_one_table_per_seen_context():
+    """Unseen contexts share one backoff table, so a sampler drawing many
+    high-temperature samples holds at most len(model.counts) + 1 tables."""
+    model = train(TRAIN_TEXTS["maze_corpus"], 6, 0.1)
+    draw = sampler(model, 50.0)
+    tables = inspect.getclosurevars(draw).nonlocals["tables"]
+    for seed in range(300):
+        out = draw("zzzzzz", 200, seed)
+        if seed % 60 == 0:
+            assert out == sample(model, "zzzzzz", 200, seed, 50.0)
+    assert None in tables  # the backoff table was used
+    assert len(tables) <= len(model.counts) + 1
 
 
 def test_sample_parameter_validation():
