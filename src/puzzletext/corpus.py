@@ -30,7 +30,15 @@ from .cube import (
 )
 from .cube_solver import solve
 from .maze import MazeSizeError, generate_maze, render_maze, solve_maze
-from .sudoku import _is_grid81, format_grid81, generate_puzzle, find_violations, is_complete, parse_grid81
+from .sudoku import (
+    _clue_changed,
+    _is_grid81,
+    count_violations,
+    format_grid81,
+    generate_puzzle,
+    is_complete,
+    parse_grid81,
+)
 
 START_TOKEN = "<|startoftext|>"
 END_TOKEN = "<|endoftext|>"
@@ -253,10 +261,10 @@ def ingest_sudoku_csv(path) -> tuple[list[PuzzleRecord], list[RowIssue]]:
             if not is_complete(solution):
                 issues.append(RowIssue(line, "solution is incomplete"))
                 continue
-            if find_violations(solution):
+            if count_violations(solution):
                 issues.append(RowIssue(line, "solution has repeated digits"))
                 continue
-            if any(p and p != s for p, s in zip(puzzle.cells, solution.cells)):
+            if _clue_changed(puzzle.cells, solution.cells):
                 issues.append(RowIssue(line, "solution conflicts with a puzzle clue"))
                 continue
             records.append(
@@ -333,14 +341,6 @@ def split_framed_stream(text: str) -> list[str]:
     """Cut a raw model-output stream into record-sized chunks at lines that
     open with the start token. Content before the first marker becomes its
     own chunk so broken output still yields one verdict per chunk."""
-    chunks: list[list[str]] = []
-    current: list[str] = []
-    for line in text.split("\n"):
-        if line.startswith(START_TOKEN) and current:
-            chunks.append(current)
-            current = []
-        current.append(line)
-    if current:
-        chunks.append(current)
-    texts = ["\n".join(chunk).strip("\n") for chunk in chunks]
+    first, *rest = text.split("\n" + START_TOKEN)
+    texts = [first.strip("\n")] + [(START_TOKEN + chunk).strip("\n") for chunk in rest]
     return [t for t in texts if t.strip()]

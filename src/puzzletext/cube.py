@@ -177,9 +177,10 @@ def decode_facelets(text: str) -> FaceletCube:
     """
     if len(text) != 54:
         raise FaceletLengthError(len(text))
-    for position, char in enumerate(text):
-        if char not in FACES:
-            raise FaceletAlphabetError(position, char)
+    if text.strip(FACES):  # some character is not a face letter
+        for position, char in enumerate(text):
+            if char not in FACES:
+                raise FaceletAlphabetError(position, char)
     for symbol in FACES:
         count = text.count(symbol)
         if count != 9:

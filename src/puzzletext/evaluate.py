@@ -33,7 +33,7 @@ from .maze import (
     solve_maze,
     validate_path,
 )
-from .sudoku import find_violations, parse_grid81
+from .sudoku import _clue_changed, count_violations, parse_grid81
 
 INVALID, INCORRECT, CORRECT = "invalid", "incorrect", "correct"
 
@@ -125,7 +125,7 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
         puzzle_grid = parse_grid81(puzzle)
     except ValueError as exc:
         raise BadPromptError(str(exc)) from exc
-    if find_violations(puzzle_grid):
+    if count_violations(puzzle_grid):
         raise BadPromptError("prompt puzzle has repeated digits")
 
     def verdict(status, reason=None, progress=None):
@@ -135,13 +135,12 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
         response_grid = parse_grid81(response)
     except ValueError:
         return verdict(INVALID, "bad_grid")
-    if strict_clues and any(
-        p and p != r for p, r in zip(puzzle_grid.cells, response_grid.cells)
-    ):
+    cells = response_grid.cells
+    if strict_clues and _clue_changed(puzzle_grid.cells, cells):
         return verdict(INVALID, "clue_changed")
-    violations = find_violations(response_grid)
-    filled = sum(1 for d in response_grid.cells if d)
-    progress = (filled, len(violations))
+    violations = count_violations(response_grid)
+    filled = 81 - cells.count(0)
+    progress = (filled, violations)
     if filled == 81 and not violations:
         return verdict(CORRECT, progress=progress)
     return verdict(INCORRECT, progress=progress)

@@ -261,9 +261,71 @@ def render_maze(maze: Maze, path: MazePath | None = None) -> str:
     return "\n".join([line.rstrip() for line in lines])
 
 
+class _LineError(Exception):
+    """A bad character in one maze line, before its line number is known."""
+
+    def __init__(self, column: int, message: str = "", token: str | None = None):
+        self.column = column
+        self.message = message
+        self.token = token
+
+
+@lru_cache(maxsize=4096)
+def _wall_line(line: str) -> int:
+    """A wall line of 4*width+1 characters as one byte per cell, first cell
+    in the highest byte: 1 where the segment above the cell is '---'."""
+    flags = bytearray()
+    for col in range(0, len(line) - 1, 4):
+        if line[col] != "+":
+            raise _LineError(col + 1, "expected '+'")
+        seg = line[col + 1: col + 4]
+        if seg == "---":
+            flags.append(1)
+        elif seg == "   ":
+            flags.append(0)
+        else:
+            raise _LineError(col + 2, "expected '---' or spaces")
+    if line[-1] != "+":
+        raise _LineError(len(line), "expected '+'")
+    return int.from_bytes(flags, "big")
+
+
+@lru_cache(maxsize=4096)
+def _body_line(line: str) -> tuple[int, tuple[tuple[int, str], ...]]:
+    """A body line of 4*width+1 characters as its WEST and EAST bits, one
+    byte per cell with the first cell in the highest byte, and the
+    (x, token) pairs of its non-blank cells."""
+    width = len(line) // 4
+    sides = bytearray(width)
+    tokens = []
+    for x in range(width + 1):
+        col = 4 * x
+        if line[col] == "|":
+            if x < width:
+                sides[x] |= WEST
+            if x:
+                sides[x - 1] |= EAST
+        elif line[col] != " ":
+            raise _LineError(col + 1, "expected '|' or space")
+        if x < width:
+            cell = line[col + 1: col + 4].strip()
+            if cell not in _CELL_TOKENS:
+                raise _LineError(col + 2, token=cell)
+            if cell:
+                tokens.append((x, cell))
+    return int.from_bytes(sides, "big"), tuple(tokens)
+
+
+# Model output may hold lines of any length; longer lines than this are
+# parsed without the caches, so they cannot pin large strings in them.
+_CACHED_LINE_MAX = 4 * 16 + 1
+
+
 def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     """Invert render_maze: recover wall masks and, when an entry mark is
-    present, the path walk. Trailing whitespace is ignored per line."""
+    present, the path walk. Trailing whitespace is ignored per line. Lines
+    of up to _CACHED_LINE_MAX characters are parsed once per distinct text,
+    by _wall_line or _body_line."""
     lines = [line.rstrip() for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
@@ -274,49 +336,38 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     if len(top) < 5 or (len(top) - 1) % 4 != 0:
         raise MazeGeometryError(1, len(top), "wall line length must be 4*width+1")
     width = (len(top) - 1) // 4
+    length = 4 * width + 1  # every line is checked to have it before it is parsed
+    if length <= _CACHED_LINE_MAX:
+        wall_line, body_line = _wall_line, _body_line
+    else:
+        wall_line, body_line = _wall_line.__wrapped__, _body_line.__wrapped__
 
-    walls = [[0] * width for _ in range(height)]
+    walls = []
     tokens = {}  # (x, y) -> non-blank cell token
-    for row in range(height + 1):
-        line = lines[2 * row]
-        if len(line) != 4 * width + 1:
-            raise MazeGeometryError(2 * row + 1, len(line), "wall line length mismatch")
-        for x in range(width):
-            col = 4 * x
-            if line[col] != "+":
-                raise MazeGeometryError(2 * row + 1, col + 1, "expected '+'")
-            seg = line[col + 1: col + 4]
-            if seg == "---":
-                if row < height:
-                    walls[row][x] |= NORTH
-                if row:
-                    walls[row - 1][x] |= SOUTH
-            elif seg != "   ":
-                raise MazeGeometryError(2 * row + 1, col + 2, "expected '---' or spaces")
-        if line[4 * width] != "+":
-            raise MazeGeometryError(2 * row + 1, 4 * width + 1, "expected '+'")
-        if row == height:
-            break
-        body = lines[2 * row + 1]
-        if len(body) != 4 * width + 1:
-            raise MazeGeometryError(2 * row + 2, len(body), "cell line length mismatch")
-        masks = walls[row]
-        for x in range(width + 1):
-            col = 4 * x
-            if body[col] == "|":
-                if x < width:
-                    masks[x] |= WEST
-                if x:
-                    masks[x - 1] |= EAST
-            elif body[col] != " ":
-                raise MazeGeometryError(2 * row + 2, col + 1, "expected '|' or space")
-            if x < width:
-                cell = body[col + 1: col + 4].strip()
-                if cell not in _CELL_TOKENS:
-                    raise MazeTokenError(2 * row + 2, col + 2, cell)
-                if cell:
-                    tokens[(x, row)] = cell
-    maze = Maze(width, height, tuple(map(tuple, walls)))
+    number = 1  # the 1-based number of the line being parsed
+    try:
+        below = wall_line(top)
+        for row in range(height):
+            number += 1
+            body = lines[number - 1]
+            if len(body) != length:
+                raise MazeGeometryError(number, len(body), "cell line length mismatch")
+            sides, cells = body_line(body)
+            for x, token in cells:
+                tokens[(x, row)] = token
+            number += 1
+            line = lines[number - 1]
+            if len(line) != length:
+                raise MazeGeometryError(number, len(line), "wall line length mismatch")
+            above, below = below, wall_line(line)
+            # one byte per cell: NORTH from the line above, SOUTH from the line
+            # below, WEST and EAST from the body line; no byte carries
+            walls.append(tuple((above * NORTH | below * SOUTH | sides).to_bytes(width, "big")))
+    except _LineError as exc:
+        if exc.token is None:
+            raise MazeGeometryError(number, exc.column, exc.message) from None
+        raise MazeTokenError(number, exc.column, exc.token) from None
+    maze = Maze(width, height, tuple(walls))
 
     entry_cells = [cell for cell, token in tokens.items() if token == ENTRY_MARK]
     if not entry_cells:

@@ -59,19 +59,22 @@ class Violation(NamedTuple):
 
 
 _DIGITS = "0123456789"  # the grid alphabet: ASCII digits only
+_DIGIT_VALUES = bytes.maketrans(_DIGITS.encode(), bytes(range(10)))
 
 
 def _is_grid81(text: str) -> bool:
-    return len(text) == 81 and all(c in _DIGITS for c in text)
+    # isdigit alone also accepts digits such as '²' and '٣'
+    return len(text) == 81 and text.isascii() and text.isdigit()
 
 
 def parse_grid81(text: str) -> SudokuGrid:
     if len(text) != 81:
         raise GridLengthError(len(text))
-    for position, char in enumerate(text):
-        if char not in _DIGITS:
-            raise GridDigitError(position, char)
-    return SudokuGrid(tuple(int(c) for c in text))
+    if not _is_grid81(text):
+        for position, char in enumerate(text):
+            if char not in _DIGITS:
+                raise GridDigitError(position, char)
+    return SudokuGrid(tuple(text.encode().translate(_DIGIT_VALUES)))
 
 
 def format_grid81(grid: SudokuGrid) -> str:
@@ -107,24 +110,46 @@ _UNIT_DIGITS = tuple(
 _tuple_new = tuple.__new__
 
 
+def _repeats(cells) -> tuple[bytes, bytes]:
+    """The one-hot bytes, and one 0/1 byte per (digit, unit), digit-major,
+    that is 1 where the digit appears twice or more in the unit."""
+    by_unit = bytes(_UNIT_CELLS(cells))
+    one_hot = b"".join([by_unit.translate(table) for table in _ONE_HOT])
+    sums = int.from_bytes(one_hot, "little") * _NINE_ONES
+    counts = sums.to_bytes(len(one_hot) + 8, "little")[8::9]
+    return one_hot, counts.translate(_AT_LEAST_TWO)
+
+
 def find_violations(grid: SudokuGrid) -> list[Violation]:
     """One Violation per (unit, digit) pair that appears twice or more.
 
     Order is deterministic: rows 0-8, then columns, then blocks, digits
     ascending within each unit. Blanks are exempt.
     """
-    by_unit = bytes(_UNIT_CELLS(grid.cells))
-    one_hot = b"".join([by_unit.translate(table) for table in _ONE_HOT])
-    sums = int.from_bytes(one_hot, "little") * _NINE_ONES
-    counts = sums.to_bytes(len(one_hot) + 8, "little")[8::9]
+    one_hot, repeated = _repeats(grid.cells)
     violations = []
-    for kind, index, digit, unit, span in compress(
-        _UNIT_DIGITS, _BY_UNIT(counts.translate(_AT_LEAST_TWO))
-    ):
+    for kind, index, digit, unit, span in compress(_UNIT_DIGITS, _BY_UNIT(repeated)):
         positions = _PICK[one_hot[span]](unit)
         # what Violation(...) runs, minus its Python-level __new__
         violations.append(_tuple_new(Violation, (kind, index, digit, positions)))
     return violations
+
+
+def count_violations(grid: SudokuGrid) -> int:
+    """len(find_violations(grid)), without building the violations."""
+    return _repeats(grid.cells)[1].count(1)
+
+
+# 0xFF for each clue (non-zero) cell value, 0 for a blank
+_CLUE_MASK = bytes(0xFF if value else 0 for value in range(256))
+
+
+def _clue_changed(puzzle_cells, response_cells) -> bool:
+    """Whether the response holds another value in any cell where the
+    puzzle has a clue."""
+    puzzle = bytes(puzzle_cells)
+    changed = int.from_bytes(puzzle, "big") ^ int.from_bytes(bytes(response_cells), "big")
+    return bool(changed & int.from_bytes(puzzle.translate(_CLUE_MASK), "big"))
 
 
 def is_complete(grid: SudokuGrid) -> bool:

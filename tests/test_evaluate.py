@@ -1,4 +1,7 @@
+import hashlib
 import json
+import random
+import re
 
 import pytest
 
@@ -11,6 +14,8 @@ from puzzletext.cube import (
     apply_formula,
     apply_move,
     encode_facelets,
+    format_formula,
+    inverse_formula,
     is_solved,
     parse_formula,
     random_scramble,
@@ -30,6 +35,7 @@ from puzzletext.evaluate import (
     report_to_dict,
 )
 from puzzletext.maze import generate_maze, render_maze, solve_maze
+from test_maze import mutated_renders
 
 SOLVED = FaceletCube()
 
@@ -417,3 +423,111 @@ def test_cube_progress_is_full_iff_correct():
         truncated = classify_cube(record.prompt, " ".join(record.response.split()[:-1]))
         if truncated.status == "incorrect":
             assert truncated.progress != (6, 36)
+
+
+# --- referee pin ---
+
+
+def mutate(rng, text, alphabet, edits):
+    """Up to `edits` seeded substitutions, deletions or insertions of
+    characters from `alphabet`."""
+    for _ in range(rng.randint(0, edits)):
+        op = rng.randrange(3)
+        i = rng.randrange(len(text) + 1)
+        if op == 0 and i < len(text):
+            text = text[:i] + rng.choice(alphabet) + text[i + 1:]
+        elif op == 1:
+            text = text[:i] + text[i + 1:]
+        else:
+            text = text[:i] + rng.choice(alphabet) + text[i:]
+    return text
+
+
+def referee_outcome(classify, *args, **kwargs):
+    try:
+        verdict = classify(*args, **kwargs)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+    return (verdict.status, verdict.reason, verdict.progress)
+
+
+def cube_cases(rng, count):
+    for _ in range(count):
+        scramble = random_scramble(rng.randrange(10**6), rng.randint(1, 5))
+        prompt = encode_facelets(apply_formula(SOLVED, scramble))
+        response = format_formula(inverse_formula(scramble))
+        if rng.random() < 0.3:
+            prompt = mutate(rng, prompt, "URFDBLx ²", 2)
+        if rng.random() < 0.2:
+            prompt = prompt[::-1]  # same counts, wrong centers
+        response = mutate(rng, response, "URFDBL2' x\t ", 3)
+        yield prompt, response, rng.choice((1024, 12))
+
+
+def sudoku_cases(rng, count):
+    for _ in range(count):
+        relabel = list("123456789")
+        rng.shuffle(relabel)
+        table = str.maketrans("123456789", "".join(relabel))
+        puzzle = SAMPLE_SUDOKU_PUZZLE.translate(table)
+        solution = SAMPLE_SUDOKU_SOLUTION.translate(table)
+        cells = list(solution)
+        op = rng.randrange(5)
+        if op == 0:  # a random fill of the blanks
+            cells = [p if p != "0" else str(rng.randrange(10)) for p in puzzle]
+        elif op == 1:  # re-blanked cells
+            for i in rng.sample(range(81), rng.randint(1, 20)):
+                cells[i] = "0"
+        elif op == 2:  # a changed clue or cell
+            i = rng.randrange(81)
+            cells[i] = str((int(cells[i]) + rng.randint(1, 9)) % 10)
+        elif op == 3:  # a non-ASCII or non-digit character
+            cells[rng.randrange(81)] = rng.choice(("²", "٣", "３", "x", " ", "\r"))
+        response = mutate(rng, "".join(cells), "0123456789²٣", 1 if op == 4 else 0)
+        if rng.random() < 0.1:
+            puzzle = mutate(rng, puzzle, "0123456789²٣３", 2)
+        yield puzzle, response, rng.random() < 0.8
+
+
+def maze_record_cases(count):
+    rng = random.Random(77)
+    previous = ""
+    for text in mutated_renders(55, count):
+        # the walls of this render, or now and then of the one before
+        prompt = re.sub(r"\^\^|>>|vv|<<|\*\*", "  ", text if rng.random() < 0.9 else previous)
+        previous = text
+        record = corpus.serialize_record(corpus.PuzzleRecord("maze", prompt, text))
+        if rng.random() < 0.1:
+            record = mutate(rng, record, "\n<|>[]", 2)
+        yield record
+
+
+def mutated_streams(rng, count):
+    records = list(maze_record_cases(40))
+    for _ in range(count):
+        stream = "\n".join(rng.sample(records, rng.randint(0, 4)))
+        stream = mutate(rng, stream, ["\n", " ", "x", "\r", corpus.START_TOKEN, "\n" + corpus.START_TOKEN], 6)
+        yield stream
+
+
+# sha256 of the outcomes below, recorded before the read side moved to
+# whole-string checks.
+PINNED_REFEREE_SHA256 = "fff71ff86745349785feb24cbf0ca0ebcf4d40d55452ae5755408198b236d9f1"
+
+
+def test_referee_verdicts_are_pinned():
+    digest = hashlib.sha256()
+    seen = set()
+    rng = random.Random(2026)
+    outcomes = [referee_outcome(classify_cube, p, r, max_chars=m) for p, r, m in cube_cases(rng, 3000)]
+    outcomes += [referee_outcome(classify_sudoku, p, r, strict_clues=s) for p, r, s in sudoku_cases(rng, 3000)]
+    outcomes += [referee_outcome(classify_maze, record) for record in maze_record_cases(3000)]
+    for outcome in outcomes:
+        seen.add(outcome[1].split(":")[0] if outcome[0] == "invalid" else outcome[0])
+        digest.update(repr(outcome).encode() + b"\n")
+    for stream in mutated_streams(rng, 500):
+        digest.update(repr(corpus.split_framed_stream(stream)).encode() + b"\n")
+    assert seen == {
+        "correct", "incorrect", "BadPromptError", "too_long", "syntax_error", "bad_grid", "clue_changed",
+        "framing", "prompt_maze", "response_maze", "wall_mismatch"}
+    assert digest.hexdigest() == PINNED_REFEREE_SHA256

@@ -27,6 +27,7 @@ from puzzletext.maze import (
     solve_maze,
     validate_path,
 )
+from puzzletext.maze import _body_line, _wall_line
 
 
 def open_internal_edges(maze):
@@ -405,3 +406,22 @@ def test_write_side_outcomes_are_pinned():
                 outcome = (maze.walls, bfs, dfs, render_maze(maze), render_maze(maze, bfs))
                 digest.update(repr(outcome).encode() + b"\n")
     assert digest.hexdigest() == PINNED_WRITE_SHA256
+
+
+def line_cache_sizes():
+    return _wall_line.cache_info().currsize, _body_line.cache_info().currsize
+
+
+def test_long_and_bad_lines_stay_out_of_the_line_caches():
+    maze = generate_maze(40, 40, 2)
+    path = solve_maze(maze)
+    before = line_cache_sizes()
+    assert parse_maze(render_maze(maze)) == (maze, None)
+    assert parse_maze(render_maze(maze, path)) == (maze, path)
+    with pytest.raises(MazeGeometryError, match="expected '---' or spaces at line 1, column 2"):
+        parse_maze("+-x-+\n|   |\n+---+")
+    assert line_cache_sizes() == before
+    bodies = _body_line.cache_info().currsize
+    with pytest.raises(MazeTokenError, match="line 2, column 2"):
+        parse_maze("+---+\n| ? |\n+---+")
+    assert _body_line.cache_info().currsize == bodies
