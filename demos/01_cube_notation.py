@@ -3,9 +3,8 @@
 Run: python demos/01_cube_notation.py
 """
 from puzzletext import (
-    FaceletCube,
+    SOLVED_FACELETS,
     apply_formula,
-    encode_facelets,
     format_formula,
     inverse_formula,
     is_solved,
@@ -17,8 +16,8 @@ from puzzletext import (
 
 # A cube state is 54 letters: nine stickers per face in U, R, F, D, B, L
 # order. The solved cube is nine of each letter.
-solved = FaceletCube()
-print("solved state:", encode_facelets(solved))
+solved = SOLVED_FACELETS
+print("solved state:", solved)
 print(render_cube_net(solved))
 print()
 
@@ -26,7 +25,7 @@ print()
 # turn). Apply a short formula and look at the unfolded net.
 formula = parse_formula("R U' F2")
 scrambled = apply_formula(solved, formula)
-print("after R U' F2:", encode_facelets(scrambled))
+print("after R U' F2:", scrambled)
 print(render_cube_net(scrambled))
 print()
 

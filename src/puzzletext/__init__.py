@@ -10,14 +10,12 @@ from .cube import (
     ALL_MOVES,
     FACES,
     SOLVED_FACELETS,
-    FaceletCube,
     Formula,
     Move,
     Turn,
     apply_formula,
     apply_move,
     decode_facelets,
-    encode_facelets,
     format_formula,
     inverse_formula,
     is_solved,
@@ -39,7 +37,6 @@ from .evaluate import (
 from .markov import CharMarkovModel
 from .maze import Maze, MazePath, generate_maze, parse_maze, render_maze, solve_maze, validate_path
 from .sudoku import (
-    SudokuGrid,
     Violation,
     count_solutions,
     find_violations,
@@ -60,14 +57,12 @@ __all__ = [
     "CorpusSplit",
     "DepthExceeded",
     "EvalReport",
-    "FaceletCube",
     "Formula",
     "Maze",
     "MazePath",
     "Move",
     "PuzzleRecord",
     "SampleVerdict",
-    "SudokuGrid",
     "Turn",
     "Violation",
     "aggregate",
@@ -84,7 +79,6 @@ __all__ = [
     "cube_progress",
     "decode_facelets",
     "dedup_and_split",
-    "encode_facelets",
     "evaluate",
     "find_violations",
     "format_formula",

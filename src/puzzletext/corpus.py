@@ -21,13 +21,7 @@ import random
 from dataclasses import dataclass, field
 
 from ._util import atomic_write_text, read_text
-from .cube import (
-    FaceletCube,
-    apply_formula,
-    encode_facelets,
-    format_formula,
-    random_scramble,
-)
+from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
 from .maze import MazeSizeError, generate_maze, render_maze, solve_maze
 from .sudoku import (
@@ -104,7 +98,7 @@ def serialize_record(record: PuzzleRecord) -> str:
 
 
 def _detect_single_line_kind(prompt: str) -> str:
-    if len(prompt) == 54 and all(c in "URFDBL" for c in prompt):
+    if len(prompt) == 54 and not prompt.strip(FACES):
         return "cube"
     if _is_grid81(prompt):
         return "sudoku"
@@ -144,12 +138,12 @@ def _map_records(worker, params, jobs: int):
 def _cube_record(params) -> PuzzleRecord:
     seed, length, max_scramble = params
     scramble = random_scramble(seed, length, max_length=max_scramble)
-    state = apply_formula(FaceletCube(), scramble)
+    state = apply_formula(SOLVED_FACELETS, scramble)
     # A scramble of length L has a solution of at most L moves.
     solution = solve(state, max_depth=max_scramble)
     return PuzzleRecord(
         "cube",
-        encode_facelets(state),
+        state,
         format_formula(solution),
         {"kind": "cube", "seed": seed, "scramble_length": length},
     )
@@ -264,7 +258,7 @@ def ingest_sudoku_csv(path) -> tuple[list[PuzzleRecord], list[RowIssue]]:
             if count_violations(solution):
                 issues.append(RowIssue(line, "solution has repeated digits"))
                 continue
-            if _clue_changed(puzzle.cells, solution.cells):
+            if _clue_changed(puzzle, solution):
                 issues.append(RowIssue(line, "solution conflicts with a puzzle clue"))
                 continue
             records.append(

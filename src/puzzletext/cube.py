@@ -125,13 +125,6 @@ MOVE_PERMS = _build_move_perms()
 MOVE_GETTERS = {key: itemgetter(*perm) for key, perm in MOVE_PERMS.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class FaceletCube:
-    """Immutable cube state; defaults to the solved cube."""
-
-    facelets: str = SOLVED_FACELETS
-
-
 def parse_formula(text: str) -> Formula:
     """Parse move tokens separated by runs of ASCII spaces; any other
     character, including tabs, newlines and Unicode spaces, raises
@@ -153,23 +146,18 @@ def inverse_formula(formula: Formula) -> Formula:
     return tuple(move.inverse() for move in reversed(formula))
 
 
-def apply_move(cube: FaceletCube, move: Move) -> FaceletCube:
-    return FaceletCube("".join(MOVE_GETTERS[(move.face, move.turn)](cube.facelets)))
+def apply_move(cube: str, move: Move) -> str:
+    return "".join(MOVE_GETTERS[(move.face, move.turn)](cube))
 
 
-def apply_formula(cube: FaceletCube, formula: Formula) -> FaceletCube:
-    facelets = cube.facelets
+def apply_formula(cube: str, formula: Formula) -> str:
     for move in formula:
-        facelets = "".join(MOVE_GETTERS[(move.face, move.turn)](facelets))
-    return FaceletCube(facelets)
+        cube = "".join(MOVE_GETTERS[(move.face, move.turn)](cube))
+    return cube
 
 
-def encode_facelets(cube: FaceletCube) -> str:
-    return cube.facelets
-
-
-def decode_facelets(text: str) -> FaceletCube:
-    """Validate and wrap a 54-character cube string.
+def decode_facelets(text: str) -> str:
+    """Validate a 54-character cube string and return it.
 
     Checks, in order: length, alphabet, nine-of-each symbol counts, and the
     fixed center stickers. Raises a FaceletStringError subclass on the first
@@ -188,11 +176,11 @@ def decode_facelets(text: str) -> FaceletCube:
     for face, index in zip(FACES, CENTER_INDICES):
         if text[index] != face:
             raise FaceletCenterError(face, text[index])
-    return FaceletCube(text)
+    return text
 
 
-def is_solved(cube: FaceletCube) -> bool:
-    return cube.facelets == SOLVED_FACELETS
+def is_solved(cube: str) -> bool:
+    return cube == SOLVED_FACELETS
 
 
 def random_scramble(rng_seed: int, length: int, max_length: int = 5) -> Formula:
@@ -211,13 +199,11 @@ def random_scramble(rng_seed: int, length: int, max_length: int = 5) -> Formula:
     return tuple(moves)
 
 
-def render_cube_net(cube: FaceletCube) -> str:
+def render_cube_net(cube: str) -> str:
     """Nine-line ASCII net: U on top, the L F R B band in the middle, D below."""
-    s = cube.facelets
-
     def rows(face: str):
         base = FACES.index(face) * 9
-        return [s[base + 3 * r: base + 3 * r + 3] for r in range(3)]
+        return [cube[base + 3 * r: base + 3 * r + 3] for r in range(3)]
 
     up, right, front, down, back, left = (rows(f) for f in FACES)
     pad = " " * 4

@@ -16,7 +16,6 @@ from .cube import (
     ALL_MOVES,
     MOVE_GETTERS,
     SOLVED_FACELETS,
-    FaceletCube,
     Formula,
 )
 
@@ -75,7 +74,7 @@ def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | N
     return None
 
 
-def solve(cube: FaceletCube, max_depth: int = 6) -> Formula:
+def solve(cube: str, max_depth: int = 6) -> Formula:
     """Return a minimal-length solving formula, or raise DepthExceeded.
 
     Iterates the threshold upward from zero, so the first formula found has
@@ -85,7 +84,7 @@ def solve(cube: FaceletCube, max_depth: int = 6) -> Formula:
         raise ValueError("max_depth must be >= 0")
     table = _solution_table()
     for threshold in range(max_depth + 1):
-        found = _search(cube.facelets, 0, threshold, None, table)
+        found = _search(cube, 0, threshold, None, table)
         if found is not None:
             return tuple(found)
     raise DepthExceeded(max_depth)

@@ -11,13 +11,11 @@ digits for sudoku, and the fraction of the shortest path walked for mazes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 from . import corpus as corpus_mod
 from ._util import read_text
 from .cube import (
     FACES,
-    FaceletCube,
     FaceletStringError,
     FormulaSyntaxError,
     apply_formula,
@@ -74,13 +72,12 @@ class EvalReport:
     breakdown: dict[str, dict[str, dict[str, int]]]  # param -> value -> class -> count
 
 
-def cube_progress(cube: FaceletCube) -> tuple[int, int]:
+def cube_progress(cube: str) -> tuple[int, int]:
     """(solved faces, uniform three-sticker rows plus columns, 36 max)."""
-    s = cube.facelets
     solved_faces = 0
     lines = 0
     for face_index, face in enumerate(FACES):
-        block = s[face_index * 9: face_index * 9 + 9]
+        block = cube[face_index * 9: face_index * 9 + 9]
         if block == face * 9:
             solved_faces += 1
         for r in range(3):
@@ -135,11 +132,10 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
         response_grid = parse_grid81(response)
     except ValueError:
         return verdict(INVALID, "bad_grid")
-    cells = response_grid.cells
-    if strict_clues and _clue_changed(puzzle_grid.cells, cells):
+    if strict_clues and _clue_changed(puzzle_grid, response_grid):
         return verdict(INVALID, "clue_changed")
     violations = count_violations(response_grid)
-    filled = 81 - cells.count(0)
+    filled = 81 - response_grid.count(0)
     progress = (filled, violations)
     if filled == 81 and not violations:
         return verdict(CORRECT, progress=progress)
@@ -187,8 +183,8 @@ def classify_maze(record_text: str) -> SampleVerdict:
 
 
 def _percentage(count: int, total: int) -> float:
-    value = Decimal(100 * count) / Decimal(total)
-    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    # 100 * count / total to one decimal, halves rounded up, in integers
+    return (2000 * count + total) // (2 * total) / 10
 
 
 def _progress_bucket(verdict: SampleVerdict) -> str:

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ._util import atomic_write_text, read_text
-
-END_TOKEN = "<|endoftext|>"
+from .corpus import END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
 

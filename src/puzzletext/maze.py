@@ -101,6 +101,12 @@ class PathVerdict:
         return self.kind == "valid"
 
 
+# Model output may describe a maze of any size. solve_maze keeps the
+# neighbor table of mazes up to this many cells a side, and parse_maze keeps
+# the lines of mazes up to this many cells wide.
+_CACHED_SIDE_MAX = 16
+
+
 @lru_cache(maxsize=64)
 def _grid(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...], ...]:
     """For each cell index y*width+x, its on-grid neighbors in N, E, S, W
@@ -153,7 +159,10 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     path under N, E, S, W neighbor order. For perfect mazes they coincide."""
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
-    grid = _grid(maze.width, maze.height)
+    if max(maze.width, maze.height) <= _CACHED_SIDE_MAX:
+        grid = _grid(maze.width, maze.height)
+    else:
+        grid = _grid.__wrapped__(maze.width, maze.height)
     walls = [mask for row in maze.walls for mask in row]
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
@@ -308,7 +317,7 @@ def _body_line(line: str) -> tuple[int, tuple[tuple[int, str], ...]]:
         elif line[col] != " ":
             raise _LineError(col + 1, "expected '|' or space")
         if x < width:
-            cell = line[col + 1: col + 4].strip()
+            cell = line[col + 1: col + 4].strip(" ")
             if cell not in _CELL_TOKENS:
                 raise _LineError(col + 2, token=cell)
             if cell:
@@ -316,17 +325,17 @@ def _body_line(line: str) -> tuple[int, tuple[tuple[int, str], ...]]:
     return int.from_bytes(sides, "big"), tuple(tokens)
 
 
-# Model output may hold lines of any length; longer lines than this are
-# parsed without the caches, so they cannot pin large strings in them.
-_CACHED_LINE_MAX = 4 * 16 + 1
+# Longer lines are parsed without the caches, so they cannot pin large
+# strings in them.
+_CACHED_LINE_MAX = 4 * _CACHED_SIDE_MAX + 1
 
 
 def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     """Invert render_maze: recover wall masks and, when an entry mark is
-    present, the path walk. Trailing whitespace is ignored per line. Lines
+    present, the path walk. Trailing ASCII spaces are ignored per line. Lines
     of up to _CACHED_LINE_MAX characters are parsed once per distinct text,
     by _wall_line or _body_line."""
-    lines = [line.rstrip() for line in text.split("\n")]
+    lines = [line.rstrip(" ") for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 3 or len(lines) % 2 == 0:

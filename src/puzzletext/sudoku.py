@@ -7,7 +7,6 @@ or 3x3 block; solved means complete and consistent.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import compress, product
 from operator import itemgetter
 from typing import NamedTuple
@@ -46,16 +45,15 @@ class PuzzleGenerationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class SudokuGrid:
-    cells: tuple[int, ...]  # 81 digits, 0 = blank
-
-
 class Violation(NamedTuple):
     kind: str  # "row", "column", or "block"
     index: int  # 0..8 within the unit family
     digit: int
     positions: tuple[int, ...]  # cell indices holding the repeated digit
+
+
+# A grid is its 81 cell digits, row-major, with 0 for a blank.
+Grid = tuple[int, ...]
 
 
 _DIGITS = "0123456789"  # the grid alphabet: ASCII digits only
@@ -67,18 +65,18 @@ def _is_grid81(text: str) -> bool:
     return len(text) == 81 and text.isascii() and text.isdigit()
 
 
-def parse_grid81(text: str) -> SudokuGrid:
+def parse_grid81(text: str) -> Grid:
     if len(text) != 81:
         raise GridLengthError(len(text))
     if not _is_grid81(text):
         for position, char in enumerate(text):
             if char not in _DIGITS:
                 raise GridDigitError(position, char)
-    return SudokuGrid(tuple(text.encode().translate(_DIGIT_VALUES)))
+    return tuple(text.encode().translate(_DIGIT_VALUES))
 
 
-def format_grid81(grid: SudokuGrid) -> str:
-    return "".join(str(d) for d in grid.cells)
+def format_grid81(grid: Grid) -> str:
+    return "".join(str(d) for d in grid)
 
 
 _UNITS = ROW_UNITS + COLUMN_UNITS + BLOCK_UNITS
@@ -120,13 +118,13 @@ def _repeats(cells) -> tuple[bytes, bytes]:
     return one_hot, counts.translate(_AT_LEAST_TWO)
 
 
-def find_violations(grid: SudokuGrid) -> list[Violation]:
+def find_violations(grid: Grid) -> list[Violation]:
     """One Violation per (unit, digit) pair that appears twice or more.
 
     Order is deterministic: rows 0-8, then columns, then blocks, digits
     ascending within each unit. Blanks are exempt.
     """
-    one_hot, repeated = _repeats(grid.cells)
+    one_hot, repeated = _repeats(grid)
     violations = []
     for kind, index, digit, unit, span in compress(_UNIT_DIGITS, _BY_UNIT(repeated)):
         positions = _PICK[one_hot[span]](unit)
@@ -135,9 +133,9 @@ def find_violations(grid: SudokuGrid) -> list[Violation]:
     return violations
 
 
-def count_violations(grid: SudokuGrid) -> int:
+def count_violations(grid: Grid) -> int:
     """len(find_violations(grid)), without building the violations."""
-    return _repeats(grid.cells)[1].count(1)
+    return _repeats(grid)[1].count(1)
 
 
 # 0xFF for each clue (non-zero) cell value, 0 for a blank
@@ -152,8 +150,8 @@ def _clue_changed(puzzle_cells, response_cells) -> bool:
     return bool(changed & int.from_bytes(puzzle.translate(_CLUE_MASK), "big"))
 
 
-def is_complete(grid: SudokuGrid) -> bool:
-    return 0 not in grid.cells
+def is_complete(grid: Grid) -> bool:
+    return 0 not in grid
 
 
 # The three unit numbers of each cell: rows 0-8, columns 9-17, blocks 18-26.
@@ -209,11 +207,11 @@ def _solve_cells(cells, masks, limit, solutions, rng=None):
     return False
 
 
-def solve_sudoku(grid: SudokuGrid) -> SudokuGrid:
+def solve_sudoku(grid: Grid) -> Grid:
     """First completion under the deterministic ordering (fewest-candidate
     cell, digits ascending). Raises if the input has violations or no
     completion exists."""
-    cells = list(grid.cells)
+    cells = list(grid)
     masks = _make_masks(cells)
     if masks is None:
         raise InconsistentGridError("input grid has repeated digits")
@@ -221,30 +219,30 @@ def solve_sudoku(grid: SudokuGrid) -> SudokuGrid:
     _solve_cells(cells, masks, 1, solutions)
     if not solutions:
         raise UnsolvableGridError("no completion exists")
-    return SudokuGrid(solutions[0])
+    return solutions[0]
 
 
-def count_solutions(grid: SudokuGrid, limit: int) -> int:
+def count_solutions(grid: Grid, limit: int) -> int:
     """Number of distinct completions, capped at `limit` (early stop)."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    masks = _make_masks(list(grid.cells))
+    masks = _make_masks(list(grid))
     if masks is None:
         return 0
     solutions: list[tuple[int, ...]] = []
-    _solve_cells(list(grid.cells), masks, limit, solutions)
+    _solve_cells(list(grid), masks, limit, solutions)
     return len(solutions)
 
 
-def _random_solved_grid(rng: random.Random) -> SudokuGrid:
+def _random_solved_grid(rng: random.Random) -> Grid:
     solutions: list[tuple[int, ...]] = []
     _solve_cells([0] * 81, [0] * 27, 1, solutions, rng)
-    return SudokuGrid(solutions[0])
+    return solutions[0]
 
 
 def generate_puzzle(
     rng_seed: int, clues: int, require_unique: bool = True, max_attempts: int = 20
-) -> tuple[SudokuGrid, SudokuGrid]:
+) -> tuple[Grid, Grid]:
     """Seeded (puzzle, solution) pair with exactly `clues` filled cells.
 
     Builds a solved grid by randomized backtracking, then removes cells in
@@ -256,7 +254,7 @@ def generate_puzzle(
     rng = random.Random(rng_seed)
     for _ in range(max_attempts):
         solution = _random_solved_grid(rng)
-        cells = list(solution.cells)
+        cells = list(solution)
         order = list(range(81))
         rng.shuffle(order)
         remaining = 81
@@ -265,16 +263,16 @@ def generate_puzzle(
                 break
             removed = cells[cell]
             cells[cell] = 0
-            if require_unique and count_solutions(SudokuGrid(tuple(cells)), 2) != 1:
+            if require_unique and count_solutions(tuple(cells), 2) != 1:
                 cells[cell] = removed
             else:
                 remaining -= 1
         if remaining == clues:
-            return SudokuGrid(tuple(cells)), solution
+            return tuple(cells), solution
     raise PuzzleGenerationError(f"could not reach {clues} clues with a unique solution")
 
 
-def render_sudoku(grid: SudokuGrid, highlight: list[Violation] | None = None) -> str:
+def render_sudoku(grid: Grid, highlight: list[Violation] | None = None) -> str:
     """Console grid with box separators; blanks as '.', highlighted cells
     starred. Every cell renders as two characters (marker + digit)."""
     marked = set()
@@ -287,7 +285,7 @@ def render_sudoku(grid: SudokuGrid, highlight: list[Violation] | None = None) ->
         row = []
         for c in range(9):
             i = r * 9 + c
-            digit = grid.cells[i]
+            digit = grid[i]
             char = str(digit) if digit else "."
             row.append(("*" if i in marked else " ") + char)
         lines.append("".join(row[0:3]) + "|" + "".join(row[3:6]) + "|" + "".join(row[6:9]))

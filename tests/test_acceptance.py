@@ -16,7 +16,7 @@ from puzzletext.cube import (
     ALL_MOVES,
     CENTER_INDICES,
     FACES,
-    FaceletCube,
+    SOLVED_FACELETS,
     Move,
     Turn,
     apply_formula,
@@ -29,11 +29,11 @@ from puzzletext.cube import (
 from puzzletext.cube_solver import solve
 from puzzletext.evaluate import SampleVerdict, aggregate
 from puzzletext.maze import generate_maze, parse_maze, render_maze, solve_maze
-from puzzletext.sudoku import SudokuGrid, Violation, find_violations, parse_grid81
+from puzzletext.sudoku import Violation, find_violations, parse_grid81
 
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 
-SOLVED = FaceletCube()
+SOLVED = SOLVED_FACELETS
 
 CUBE_CORPUS_SEED = 2024
 CUBE_CORPUS_TOTAL = 5000
@@ -111,7 +111,7 @@ def test_c1_cube_group_properties():
         state = apply_formula(SOLVED, random_scramble(seed, 14, max_length=14))
         for move in ALL_MOVES:
             turned = apply_move(state, move)
-            facelets = turned.facelets
+            facelets = turned
             for face, center in zip(FACES, CENTER_INDICES):
                 assert facelets.count(face) == 9
                 assert facelets[center] == face
@@ -126,7 +126,7 @@ def test_c1_cube_group_properties():
 
 def test_c2_solver_matches_brute_force_at_depth_three():
     started = time.monotonic()
-    distances = {SOLVED.facelets: 0}
+    distances = {SOLVED: 0}
     frontier = [(SOLVED, None)]
     for depth in (1, 2, 3):
         next_frontier = []
@@ -135,8 +135,8 @@ def test_c2_solver_matches_brute_force_at_depth_three():
                 if move.face == last_face:
                     continue
                 child = apply_move(state, move)
-                if child.facelets not in distances:
-                    distances[child.facelets] = depth
+                if child not in distances:
+                    distances[child] = depth
                     next_frontier.append((child, move.face))
         frontier = next_frontier
     assert len(distances) == 3502  # 1 + 18 + 243 + 3240
@@ -144,18 +144,18 @@ def test_c2_solver_matches_brute_force_at_depth_three():
         # Reference label: at each step, the first move in ALL_MOVES order
         # whose child is one turn closer.
         expected = []
-        state = FaceletCube(facelets)
+        state = facelets
         for closer in range(distance - 1, -1, -1):
             for move in ALL_MOVES:
                 child = apply_move(state, move)
-                if distances.get(child.facelets) == closer:
+                if distances.get(child) == closer:
                     break
             else:
-                pytest.fail(f"no move brings {state.facelets} to distance {closer}")
+                pytest.fail(f"no move brings {state} to distance {closer}")
             expected.append(move)
             state = child
         assert is_solved(state)
-        assert solve(FaceletCube(facelets), 4) == tuple(expected)
+        assert solve(facelets, 4) == tuple(expected)
     _report(2, time.monotonic() - started, 300,
             "first optimal formula on all 3,502 states within 3 moves")
 
@@ -214,22 +214,22 @@ def test_c5_sudoku_validator_matches_brute_force():
         found = []
         for kind, index, cells in units:
             for digit in range(1, 10):
-                hits = [i for i in cells if grid.cells[i] == digit]
+                hits = [i for i in cells if grid[i] == digit]
                 if len(hits) > 1:
                     found.append(Violation(kind, index, digit, tuple(hits)))
         return found
 
     rng = _random.Random(77)
     for _ in range(10000):
-        grid = SudokuGrid(tuple(rng.randrange(10) for _ in range(81)))
+        grid = tuple(rng.randrange(10) for _ in range(81))
         assert find_violations(grid) == oracle(grid)
     elapsed = time.monotonic() - started
 
     puzzle = parse_grid81(SAMPLE_SUDOKU_PUZZLE)
     solution = parse_grid81(SAMPLE_SUDOKU_SOLUTION)
     assert find_violations(solution) == []
-    assert 0 not in solution.cells
-    assert all(p == 0 or p == s for p, s in zip(puzzle.cells, solution.cells))
+    assert 0 not in solution
+    assert all(p == 0 or p == s for p, s in zip(puzzle, solution))
     _report(5, elapsed, 5, "10,000 random grids agree with the 27-unit scan")
 
 

@@ -6,7 +6,7 @@ import pytest
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cli import run
-from puzzletext.cube import SOLVED_FACELETS, FaceletCube, apply_formula, encode_facelets, parse_formula
+from puzzletext.cube import SOLVED_FACELETS, apply_formula, parse_formula
 from puzzletext.maze import generate_maze, parse_maze, render_maze, validate_path
 
 
@@ -15,7 +15,7 @@ def read(path):
 
 
 def scrambled(formula):
-    return encode_facelets(apply_formula(FaceletCube(), parse_formula(formula)))
+    return apply_formula(SOLVED_FACELETS, parse_formula(formula))
 
 
 # --- generation ---

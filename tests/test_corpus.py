@@ -20,7 +20,7 @@ from puzzletext.corpus import (
     split_framed_stream,
     write_corpus,
 )
-from puzzletext.cube import ALL_MOVES, FaceletCube, apply_formula, apply_move, encode_facelets, is_solved, parse_formula
+from puzzletext.cube import ALL_MOVES, SOLVED_FACELETS, apply_formula, apply_move, is_solved, parse_formula
 from puzzletext.cube import decode_facelets
 from puzzletext.maze import MazeSizeError, parse_maze, validate_path
 from puzzletext.sudoku import find_violations, is_complete, parse_grid81
@@ -116,7 +116,7 @@ def test_cube_corpus_divisibility():
 
 def test_single_move_states_number_eighteen():
     # the whole universe of length-1 prompts
-    states = {encode_facelets(apply_move(FaceletCube(), m)) for m in ALL_MOVES}
+    states = {apply_move(SOLVED_FACELETS, m) for m in ALL_MOVES}
     assert len(states) == 18
     records = build_cube_corpus(11, 60, 1)
     assert {r.prompt for r in records} <= states
@@ -132,7 +132,7 @@ def test_sudoku_corpus_records_solve_their_prompts():
         solution = parse_grid81(record.response)
         assert is_complete(solution)
         assert find_violations(solution) == []
-        assert all(p == 0 or p == s for p, s in zip(puzzle.cells, solution.cells))
+        assert all(p == 0 or p == s for p, s in zip(puzzle, solution))
         assert 30 <= record.meta["clues"] <= 35
 
 

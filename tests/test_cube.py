@@ -17,7 +17,6 @@ from puzzletext.cube import (
     FaceletAlphabetError,
     FaceletCenterError,
     FaceletCountError,
-    FaceletCube,
     FaceletLengthError,
     FormulaSyntaxError,
     Move,
@@ -26,7 +25,6 @@ from puzzletext.cube import (
     apply_formula,
     apply_move,
     decode_facelets,
-    encode_facelets,
     format_formula,
     inverse_formula,
     is_solved,
@@ -36,7 +34,7 @@ from puzzletext.cube import (
 )
 from puzzletext.cube_tables import CLOCKWISE_PERMS
 
-SOLVED = FaceletCube()
+SOLVED = SOLVED_FACELETS
 
 
 def random_state(seed, length=14):
@@ -168,13 +166,13 @@ def test_u_move_matches_oracle_permutation(table_deriver):
     perm = table_deriver.clockwise_permutations()["U"]
     expected = "".join(SOLVED_FACELETS[i] for i in perm)
     turned = apply_move(SOLVED, Move("U", Turn.CW90))
-    assert encode_facelets(turned) == expected
+    assert turned == expected
     # the U block itself stays all-U; the four side faces swap top rows
-    assert turned.facelets[:9] == "U" * 9
+    assert turned[:9] == "U" * 9
     for face in "RFBL":
         base = FACES.index(face) * 9
-        assert turned.facelets[base: base + 3] != face * 3
-        assert turned.facelets[base + 3: base + 9] == face * 6
+        assert turned[base: base + 3] != face * 3
+        assert turned[base + 3: base + 9] == face * 6
 
 
 def test_apply_formula_folds_left_to_right():
@@ -201,22 +199,22 @@ def test_moves_conserve_counts_and_centers():
         for move in ALL_MOVES:
             turned = apply_move(state, move)
             for face in FACES:
-                assert turned.facelets.count(face) == 9
+                assert turned.count(face) == 9
             for face, index in zip(FACES, CENTER_INDICES):
-                assert turned.facelets[index] == face
+                assert turned[index] == face
 
 
 # --- facelet codec ---
 
 
 def test_encode_solved_is_nine_of_each():
-    assert encode_facelets(SOLVED) == "U" * 9 + "R" * 9 + "F" * 9 + "D" * 9 + "B" * 9 + "L" * 9
+    assert SOLVED == "U" * 9 + "R" * 9 + "F" * 9 + "D" * 9 + "B" * 9 + "L" * 9
 
 
 def test_decode_round_trip():
     for seed in range(20):
         state = random_state(seed)
-        assert decode_facelets(encode_facelets(state)) == state
+        assert decode_facelets(state) == state
 
 
 def test_decode_length_error():
@@ -314,6 +312,6 @@ def test_render_has_nine_lines():
 
 
 def test_render_injective_on_sampled_states():
-    states = {encode_facelets(random_state(seed)) for seed in range(1000)}
-    renders = {render_cube_net(FaceletCube(s)) for s in states}
+    states = {random_state(seed) for seed in range(1000)}
+    renders = {render_cube_net(s) for s in states}
     assert len(renders) == len(states)

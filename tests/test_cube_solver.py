@@ -11,7 +11,7 @@ import pytest
 from puzzletext.corpus import build_cube_corpus, corpus_text
 from puzzletext.cube import (
     ALL_MOVES,
-    FaceletCube,
+    SOLVED_FACELETS,
     apply_formula,
     apply_move,
     format_formula,
@@ -23,12 +23,12 @@ from puzzletext.cube_solver import (
     solve,
 )
 
-SOLVED = FaceletCube()
+SOLVED = SOLVED_FACELETS
 
 
 def bfs_distances(max_depth):
     """Brute-force exact distances for every state within max_depth."""
-    distances = {SOLVED.facelets: 0}
+    distances = {SOLVED: 0}
     frontier = [(SOLVED, None)]
     for depth in range(1, max_depth + 1):
         next_frontier = []
@@ -37,8 +37,8 @@ def bfs_distances(max_depth):
                 if move.face == last_face:
                     continue
                 child = apply_move(state, move)
-                if child.facelets not in distances:
-                    distances[child.facelets] = depth
+                if child not in distances:
+                    distances[child] = depth
                     next_frontier.append((child, move.face))
         frontier = next_frontier
     return distances
@@ -66,9 +66,9 @@ def test_solve_single_move_inverse():
 
 def test_solve_optimal_within_depth_two(oracle_depth2):
     for facelets, distance in oracle_depth2.items():
-        solution = solve(FaceletCube(facelets), 4)
+        solution = solve(facelets, 4)
         assert len(solution) == distance
-        assert is_solved(apply_formula(FaceletCube(facelets), solution))
+        assert is_solved(apply_formula(facelets, solution))
 
 
 def test_solve_sound_on_1000_random_scrambles():

@@ -2,18 +2,18 @@ import hashlib
 import json
 import random
 import re
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
 
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cube import (
-    FaceletCube,
+    SOLVED_FACELETS,
     Move,
     Turn,
     apply_formula,
     apply_move,
-    encode_facelets,
     format_formula,
     inverse_formula,
     is_solved,
@@ -25,6 +25,7 @@ from puzzletext.evaluate import (
     EmptyInputError,
     LineCountMismatchError,
     SampleVerdict,
+    _percentage,
     aggregate,
     classify_cube,
     classify_maze,
@@ -34,10 +35,10 @@ from puzzletext.evaluate import (
     ingest_external_outputs,
     report_to_dict,
 )
-from puzzletext.maze import generate_maze, render_maze, solve_maze
+from puzzletext.maze import EAST, NORTH, SOUTH, WEST, Maze, _grid, generate_maze, render_maze, solve_maze
 from test_maze import mutated_renders
 
-SOLVED = FaceletCube()
+SOLVED = SOLVED_FACELETS
 
 
 def make_verdicts(invalid, incorrect, correct):
@@ -75,14 +76,14 @@ def test_six_solved_faces_iff_solved():
 
 def test_classify_cube_correct():
     state = apply_move(SOLVED, Move("R", Turn.CW90))
-    verdict = classify_cube(encode_facelets(state), "R'")
+    verdict = classify_cube(state, "R'")
     assert verdict.status == "correct"
     assert verdict.progress == (6, 36)
 
 
 def test_classify_cube_invalid_syntax():
     state = apply_formula(SOLVED, random_scramble(3, 3))
-    verdict = classify_cube(encode_facelets(state), "R X R")
+    verdict = classify_cube(state, "R X R")
     assert verdict.status == "invalid"
     assert verdict.reason.startswith("syntax_error")
     assert verdict.progress is None
@@ -92,21 +93,21 @@ def test_classify_cube_non_ascii_space_is_invalid():
     # R' solves the state, so only the separator makes these invalid.
     state = apply_move(SOLVED, Move("R", Turn.CW90))
     for separator in ("\t", "\u3000"):
-        verdict = classify_cube(encode_facelets(state), f"R'{separator}U U'")
+        verdict = classify_cube(state, f"R'{separator}U U'")
         assert verdict.status == "invalid"
         assert verdict.reason == "syntax_error:1"
 
 
 def test_classify_cube_empty_formula_is_incorrect():
     state = apply_formula(SOLVED, random_scramble(4, 3))
-    verdict = classify_cube(encode_facelets(state), "")
+    verdict = classify_cube(state, "")
     assert verdict.status == "incorrect"
     assert verdict.progress == cube_progress(state)
 
 
 def test_classify_cube_too_long():
     state = apply_formula(SOLVED, random_scramble(5, 3))
-    verdict = classify_cube(encode_facelets(state), "R U " * 300)
+    verdict = classify_cube(state, "R U " * 300)
     assert verdict.status == "invalid"
     assert verdict.reason == "too_long"
 
@@ -227,7 +228,41 @@ def test_classify_maze_missing_path_is_incorrect():
     assert verdict.progress == 0.0
 
 
+def test_classify_maze_keeps_no_neighbor_table_for_large_mazes():
+    # an open 40x40 room, built without generate_maze so no table is cached yet
+    n = 40
+    walls = tuple(
+        tuple(
+            (NORTH if y == 0 else 0) | (WEST if x == 0 else 0) | (EAST if x == n - 1 else 0)
+            | (SOUTH if y == n - 1 and x < n - 1 else 0)
+            for x in range(n)
+        )
+        for y in range(n)
+    )
+    text = render_maze(Maze(n, n, walls))
+    record = corpus.serialize_record(corpus.PuzzleRecord("maze", text, text))
+    before = _grid.cache_info().currsize
+    verdict = classify_maze(record)
+    assert verdict.status == "incorrect"
+    assert _grid.cache_info().currsize == before
+
+
 # --- aggregation ---
+
+
+def reference_percentage(count, total):
+    value = Decimal(100 * count) / Decimal(total)
+    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+
+def test_percentage_matches_decimal_half_up():
+    pairs = [(count, total) for total in range(1, 301) for count in range(total + 1)]
+    rng = random.Random(7)
+    for _ in range(2000):
+        total = rng.randint(1, 10**9)
+        pairs.append((rng.randint(0, total), total))
+    for count, total in pairs:
+        assert _percentage(count, total) == reference_percentage(count, total), (count, total)
 
 
 def test_aggregate_rounds_reference_counts_to_one_decimal():
@@ -267,7 +302,7 @@ def test_aggregate_breakdown_by_scramble_length():
     for seed in range(12):
         length = seed % 3 + 1
         state = apply_formula(SOLVED, random_scramble(seed, length))
-        verdicts.append(classify_cube(encode_facelets(state), ""))
+        verdicts.append(classify_cube(state, ""))
         params.append({"kind": "cube", "seed": seed, "scramble_length": length})
     report = aggregate(verdicts, params)
     assert set(report.breakdown) == {"scramble_length"}
@@ -401,14 +436,14 @@ def test_sudoku_corpus_scores_itself_correct(tmp_path):
 def test_sudoku_violation_count_matches_brute_force():
     import random as _random
 
-    from puzzletext.sudoku import SudokuGrid, find_violations, format_grid81
+    from puzzletext.sudoku import find_violations, format_grid81
 
     rng = _random.Random(41)
     puzzle = SAMPLE_SUDOKU_PUZZLE
     for _ in range(300):
         response = "".join(str(rng.randrange(10)) for _ in range(81))
         verdict = classify_sudoku(puzzle, response, strict_clues=False)
-        grid = SudokuGrid(tuple(int(c) for c in response))
+        grid = tuple(int(c) for c in response)
         expected = len(find_violations(grid))
         if verdict.status == "invalid":
             continue
@@ -454,7 +489,7 @@ def referee_outcome(classify, *args, **kwargs):
 def cube_cases(rng, count):
     for _ in range(count):
         scramble = random_scramble(rng.randrange(10**6), rng.randint(1, 5))
-        prompt = encode_facelets(apply_formula(SOLVED, scramble))
+        prompt = apply_formula(SOLVED, scramble)
         response = format_formula(inverse_formula(scramble))
         if rng.random() < 0.3:
             prompt = mutate(rng, prompt, "URFDBLx ²", 2)

@@ -308,6 +308,25 @@ def test_parse_trailing_whitespace_tolerated():
     assert parsed == maze
 
 
+@pytest.mark.parametrize(
+    "line, old, new, error, message",
+    [
+        (1, " **", "\t**", MazeTokenError, "token '\\t**' at line 2, column 2"),
+        (1, " **", "\u3000**", MazeTokenError, "token '\\u3000**' at line 2, column 2"),
+        (1, None, "\r", MazeGeometryError, "cell line length mismatch at line 2"),
+        (2, None, "\u3000", MazeGeometryError, "wall line length mismatch at line 3"),
+    ],
+    ids=["tab_before_entry", "ideographic_space_before_entry", "trailing_cr", "trailing_ideographic_space"],
+)
+def test_parse_strips_only_ascii_spaces(line, old, new, error, message):
+    maze = generate_maze(11, 4, 4)
+    lines = render_maze(maze, solve_maze(maze)).split("\n")
+    assert lines[1].startswith("| **|")
+    lines[line] = lines[line].replace(old, new, 1) if old else lines[line] + new
+    with pytest.raises(error, match=re.escape(message)):
+        parse_maze("\n".join(lines))
+
+
 def test_parse_geometry_error_where_plus_expected():
     text = render_maze(generate_maze(2, 2, 2))
     broken = "-" + text[1:]

@@ -22,7 +22,6 @@ from puzzletext.maze import (  # noqa: E402
 from puzzletext.sudoku import (  # noqa: E402
     GridDigitError,
     GridLengthError,
-    SudokuGrid,
     count_violations,
     find_violations,
     parse_grid81,
@@ -39,7 +38,7 @@ def reference_parse_grid81(text):
     for position, char in enumerate(text):
         if char not in DIGITS:
             raise GridDigitError(position, char)
-    return SudokuGrid(tuple(int(c) for c in text))
+    return tuple(int(c) for c in text)
 
 
 def grid_outcome(parse, text):
@@ -69,7 +68,7 @@ def test_parse_grid81_matches_per_character_reference(text):
 @FAST
 @given(st.text(alphabet=DIGITS, min_size=81, max_size=81))
 def test_count_violations_is_the_number_of_violations(text):
-    grid = SudokuGrid(tuple(map(int, text)))
+    grid = tuple(map(int, text))
     assert count_violations(grid) == len(find_violations(grid))
 
 

@@ -10,7 +10,6 @@ from puzzletext.sudoku import (
     GridLengthError,
     InconsistentGridError,
     PuzzleGenerationError,
-    SudokuGrid,
     UnsolvableGridError,
     Violation,
     count_solutions,
@@ -42,14 +41,14 @@ def brute_force_violations(grid):
         units.append(("block", b, cells))
     for kind, index, cells in units:
         for digit in range(1, 10):
-            hits = [i for i in cells if grid.cells[i] == digit]
+            hits = [i for i in cells if grid[i] == digit]
             if len(hits) > 1:
                 found.append(Violation(kind, index, digit, tuple(hits)))
     return found
 
 
 def random_grid(rng):
-    return SudokuGrid(tuple(rng.randrange(10) for _ in range(81)))
+    return tuple(rng.randrange(10) for _ in range(81))
 
 
 # --- parsing ---
@@ -57,12 +56,12 @@ def random_grid(rng):
 
 def test_parse_sample_puzzle_blanks():
     grid = parse_grid81(SAMPLE_SUDOKU_PUZZLE)
-    assert grid.cells.count(0) == 81 - 35
-    assert grid.cells[2] == 4  # first clue
+    assert grid.count(0) == 81 - 35
+    assert grid[2] == 4  # first clue
 
 
 def test_parse_all_blank():
-    assert parse_grid81(BLANK).cells == (0,) * 81
+    assert parse_grid81(BLANK) == (0,) * 81
 
 
 def test_parse_length_error():
@@ -109,7 +108,7 @@ def test_sample_solution_is_consistent_and_clue_preserving():
     solution = parse_grid81(SAMPLE_SUDOKU_SOLUTION)
     assert find_violations(solution) == []
     assert is_complete(solution)
-    assert all(p == 0 or p == s for p, s in zip(puzzle.cells, solution.cells))
+    assert all(p == 0 or p == s for p, s in zip(puzzle, solution))
 
 
 def test_blank_grid_has_no_violations():
@@ -132,7 +131,7 @@ def test_violations_match_brute_force_scan():
 def test_violations_when_every_unit_repeats_one_digit_nine_times():
     # the largest count a unit can hold, in every unit and for every digit
     for digit in range(1, 10):
-        grid = SudokuGrid((digit,) * 81)
+        grid = (digit,) * 81
         violations = find_violations(grid)
         assert len(violations) == 27
         assert violations == brute_force_violations(grid)
@@ -198,7 +197,7 @@ def test_sample_puzzle_is_unique():
 
 def test_generate_eighty_clues_unique_by_pigeonhole():
     puzzle, solution = generate_puzzle(5, 80)
-    assert sum(1 for d in puzzle.cells if d) == 80
+    assert sum(1 for d in puzzle if d) == 80
     assert count_solutions(puzzle, 2) == 1
     assert solve_sudoku(puzzle) == solution
 
@@ -209,8 +208,8 @@ def test_generate_construction_invariants():
         assert find_violations(puzzle) == []
         assert is_complete(solution)
         assert find_violations(solution) == []
-        assert sum(1 for d in puzzle.cells if d) == 30
-        assert all(p == 0 or p == s for p, s in zip(puzzle.cells, solution.cells))
+        assert sum(1 for d in puzzle if d) == 30
+        assert all(p == 0 or p == s for p, s in zip(puzzle, solution))
         assert count_solutions(puzzle, 2) == 1
 
 
@@ -224,7 +223,7 @@ def test_solver_sound_on_100_generated_puzzles():
         solved = solve_sudoku(puzzle)
         assert is_complete(solved)
         assert find_violations(solved) == []
-        assert all(p == 0 or p == s for p, s in zip(puzzle.cells, solved.cells))
+        assert all(p == 0 or p == s for p, s in zip(puzzle, solved))
         assert solved == solution  # unique puzzles have one completion
 
 
@@ -254,10 +253,10 @@ def test_seeded_search_bytes_are_pinned():
         digest.update(corpus_text(records).encode("utf-8"))
     rng = random.Random(31)
     for blanks in (0, 30, 45, 55, 65, 75, 81):
-        cells = list(parse_grid81(SAMPLE_SUDOKU_SOLUTION).cells)
+        cells = list(parse_grid81(SAMPLE_SUDOKU_SOLUTION))
         for i in rng.sample(range(81), blanks):
             cells[i] = 0
-        grid = SudokuGrid(tuple(cells))
+        grid = tuple(cells)
         digest.update(format_grid81(solve_sudoku(grid)).encode("utf-8"))
         digest.update(str(count_solutions(grid, 25)).encode("utf-8"))
     assert digest.hexdigest() == PINNED_SEARCH_SHA256
