@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import json
-import multiprocessing
 import random
 from dataclasses import dataclass, field
 
@@ -130,6 +129,9 @@ def parse_record(text: str) -> PuzzleRecord:
 
 def _map_records(worker, params, jobs: int):
     if jobs > 1:
+        # Imported here: only --jobs > 1 pays its import time.
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             return pool.map(worker, params)
     return [worker(p) for p in params]

@@ -102,6 +102,11 @@ ALL_MOVES: Formula = tuple(
     Move(face, turn) for face in FACES for turn in (Turn.CW90, Turn.HALF180, Turn.CCW90)
 )
 
+# The moves a scramble may take after a move on each face, in ALL_MOVES order.
+_CANDIDATES_AFTER = {
+    face: tuple(move for move in ALL_MOVES if move.face != face) for face in FACES
+}
+
 
 def _compose(p, q):
     # apply p then q: new[i] = old[p[q[i]]]
@@ -189,13 +194,11 @@ def random_scramble(rng_seed: int, length: int, max_length: int = 5) -> Formula:
     if not 1 <= length <= max_length:
         raise ScrambleLengthError(f"length must be in 1..{max_length}, got {length}")
     rng = random.Random(rng_seed)
-    moves = []
-    previous_face = None
-    for _ in range(length):
-        candidates = [move for move in ALL_MOVES if move.face != previous_face]
-        move = rng.choice(candidates)
+    move = rng.choice(ALL_MOVES)
+    moves = [move]
+    for _ in range(length - 1):
+        move = rng.choice(_CANDIDATES_AFTER[move.face])
         moves.append(move)
-        previous_face = move.face
     return tuple(moves)
 
 

@@ -5,8 +5,18 @@ first optimal formula: at each step, the first move in ALL_MOVES order that
 brings the cube one turn closer. One breadth-first search builds it, once
 per process. The search only walks down to the table boundary: a state in
 the table is finished by its stored formula, and a state absent from it is
-at least TABLE_DEPTH + 1 away, which is the bound that prunes everything
-else.
+at least TABLE_DEPTH + 1 away.
+
+The same build turns the table's outer ring once more and marks the hash of
+every state one turn past it in a bitset, so each state at depth
+TABLE_DEPTH + 1 sets its bit. A state absent from the table whose bit is
+clear is therefore at least TABLE_DEPTH + 2 away, a bound that prunes one
+level earlier (Korf's pattern-database argument). Both bounds are
+admissible: they cut only subtrees that hold no solution within the
+threshold, so the depth-first order still returns the same first formula
+and raises DepthExceeded at the same caps. String hashes differ between
+processes, which changes only which far states share a bit with a near one
+and get expanded, never the result.
 """
 from __future__ import annotations
 
@@ -20,6 +30,7 @@ from .cube import (
 )
 
 TABLE_DEPTH = 3
+_HASH_MASK = (1 << 20) - 1  # one bit per hash bucket: a 128 KB bitset
 
 _MOVES_WITH_GETTERS = tuple((move, MOVE_GETTERS[(move.face, move.turn)]) for move in ALL_MOVES)
 
@@ -33,7 +44,9 @@ class DepthExceeded(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _solution_table() -> dict[str, Formula]:
+def _solution_table() -> tuple[dict[str, Formula], bytearray]:
+    """The solution table, and the bitset marking every state one turn
+    beyond it."""
     getters = dict(_MOVES_WITH_GETTERS)
     table = {SOLVED_FACELETS: ()}
     frontier = [SOLVED_FACELETS]
@@ -51,10 +64,21 @@ def _solution_table() -> dict[str, Formula]:
                     level[child] = (move,) + table[parent]
         table.update(level)
         frontier = list(level)
-    return table
+    beyond = bytearray((_HASH_MASK + 1) // 8)
+    for parent in frontier:
+        # Turns of the face that brings the parent closer stay in the table.
+        closer_face = table[parent][0].face
+        for move, getter in _MOVES_WITH_GETTERS:
+            if move.face == closer_face:
+                continue
+            child = "".join(getter(parent))
+            if child not in table:
+                bucket = hash(child) & _HASH_MASK
+                beyond[bucket >> 3] |= 1 << (bucket & 7)
+    return table, beyond
 
 
-def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | None:
+def _search(facelets: str, g: int, threshold: int, last_face, table, beyond) -> list | None:
     formula = table.get(facelets)
     if formula is not None:
         # Optimal formula known: either finish here or prune, never recurse.
@@ -63,11 +87,16 @@ def _search(facelets: str, g: int, threshold: int, last_face, table) -> list | N
         return None
     if g + TABLE_DEPTH + 1 > threshold:
         return None
+    if g + TABLE_DEPTH + 1 == threshold:
+        # Only a state one turn beyond the table can finish in time.
+        bucket = hash(facelets) & _HASH_MASK
+        if not beyond[bucket >> 3] & (1 << (bucket & 7)):
+            return None
     for move, getter in _MOVES_WITH_GETTERS:
         if move.face == last_face:
             continue
         child = "".join(getter(facelets))
-        found = _search(child, g + 1, threshold, move.face, table)
+        found = _search(child, g + 1, threshold, move.face, table, beyond)
         if found is not None:
             found.insert(0, move)
             return found
@@ -82,9 +111,9 @@ def solve(cube: str, max_depth: int = 6) -> Formula:
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
-    table = _solution_table()
+    table, beyond = _solution_table()
     for threshold in range(max_depth + 1):
-        found = _search(cube, 0, threshold, None, table)
+        found = _search(cube, 0, threshold, None, table, beyond)
         if found is not None:
             return tuple(found)
     raise DepthExceeded(max_depth)

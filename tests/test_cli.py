@@ -1,9 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
+from conftest import REPO_ROOT, SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cli import run
 from puzzletext.cube import SOLVED_FACELETS, apply_formula, parse_formula
@@ -16,6 +19,13 @@ def read(path):
 
 def scrambled(formula):
     return apply_formula(SOLVED_FACELETS, parse_formula(formula))
+
+
+def python(args, cwd, **env):
+    """Run a fresh interpreter on this source tree and return its result."""
+    path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=120, check=True)
 
 
 # --- generation ---
@@ -45,6 +55,21 @@ def test_gen_jobs_flag_matches_serial(tmp_path):
     assert run(["gen", "cube", "--seed", "5", "--total", "10", "--max-scramble", "5", "--out", str(serial)]) == 0
     assert run(["gen", "cube", "--seed", "5", "--total", "10", "--max-scramble", "5", "--jobs", "2", "--out", str(parallel)]) == 0
     assert read(serial) == read(parallel)
+
+
+def test_gen_cube_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    # The solver's depth-4 bitset is indexed by str hash, which varies with
+    # PYTHONHASHSEED; only the amount of search may change, not the labels.
+    for hash_seed in ("0", "1"):
+        python(["-m", "puzzletext.cli", "gen", "cube", "--seed", "1234", "--total", "50",
+                "--max-scramble", "5", "--out", f"cube{hash_seed}.txt"], tmp_path, PYTHONHASHSEED=hash_seed)
+    assert read(tmp_path / "cube0.txt") == read(tmp_path / "cube1.txt")
+    assert read(tmp_path / "cube0.txt.meta.jsonl") == read(tmp_path / "cube1.txt.meta.jsonl")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded(tmp_path):
+    result = python(["-c", "import sys, puzzletext.cli; print('multiprocessing' in sys.modules)"], tmp_path)
+    assert result.stdout == "False\n"
 
 
 def test_gen_seed_is_mandatory(tmp_path, capsys):

@@ -2,7 +2,9 @@
 
 The oracle enumerates move sequences outward from solved (skipping
 consecutive same-face moves) and records the first depth each state is
-reached at, independently of the solver's own machinery.
+reached at, independently of the solver's own machinery. A reference
+IDA* built on it, pruning with the plain table bound only, checks that the
+solver's sharper bound changes no label.
 """
 import hashlib
 
@@ -44,9 +46,57 @@ def bfs_distances(max_depth):
     return distances
 
 
+def reference_labels(distances):
+    """First optimal formula for every state in `distances`: at each step,
+    the first move in ALL_MOVES order whose child is one turn closer."""
+    labels = {SOLVED: ()}
+    for state, distance in sorted(distances.items(), key=lambda item: item[1]):
+        if distance == 0:
+            continue
+        for move in ALL_MOVES:
+            child = apply_move(state, move)
+            if distances.get(child) == distance - 1:
+                labels[state] = (move,) + labels[child]
+                break
+        else:
+            pytest.fail(f"no move brings {state} to distance {distance - 1}")
+    return labels
+
+
+def reference_solve(state, max_depth, table):
+    """IDA* that only knows a state outside `table` is at least one turn
+    beyond the table's depth, returning a formula or the DepthExceeded cap."""
+    bound = max(len(formula) for formula in table.values()) + 1
+
+    def search(state, g, threshold, last_face):
+        formula = table.get(state)
+        if formula is not None:
+            return list(formula) if g + len(formula) <= threshold else None
+        if g + bound > threshold:
+            return None
+        for move in ALL_MOVES:
+            if move.face != last_face:
+                found = search(apply_move(state, move), g + 1, threshold, move.face)
+                if found is not None:
+                    return [move] + found
+        return None
+
+    for threshold in range(max_depth + 1):
+        found = search(state, 0, threshold, None)
+        if found is not None:
+            return tuple(found)
+    return f"DepthExceeded {max_depth}"
+
+
 @pytest.fixture(scope="module")
 def oracle_depth2():
     return bfs_distances(2)
+
+
+@pytest.fixture(scope="module")
+def oracle_depth4():
+    distances = bfs_distances(4)
+    return distances, reference_labels(distances)
 
 
 def test_oracle_state_counts(oracle_depth2):
@@ -117,3 +167,26 @@ def test_solver_bytes_are_pinned():
                 text = f"DepthExceeded {exc.max_depth}"
             digest.update((text + "\n").encode("utf-8"))
     assert digest.hexdigest() == PINNED_SOLVER_SHA256
+
+
+def test_solve_labels_every_state_within_four_moves(oracle_depth4):
+    """Every depth-4 state must set its bit in the solver's bitset: a
+    missing one would be pruned at threshold 4 and get a longer label or
+    DepthExceeded."""
+    distances, labels = oracle_depth4
+    assert len(distances) == 46741  # 1 + 18 + 243 + 3240 + 43239
+    for state, label in labels.items():
+        assert solve(state, 4) == label
+
+
+def test_solve_matches_reference_ida_star(oracle_depth4):
+    distances, labels = oracle_depth4
+    table = {state: labels[state] for state, distance in distances.items() if distance <= 3}
+    for seed in range(500):
+        state = apply_formula(SOLVED, random_scramble(seed, seed % 7 + 1, max_length=7))
+        for max_depth in range(7):
+            try:
+                got = solve(state, max_depth)
+            except DepthExceeded as exc:
+                got = f"DepthExceeded {exc.max_depth}"
+            assert got == reference_solve(state, max_depth, table), (seed, max_depth)
