@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ._util import atomic_write_text, read_text
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
-from .maze import MazeSizeError, generate_maze, render_maze, solve_maze
+from .maze import MazeSizeError, generate_solved_maze, render_maze_pair
 from .sudoku import (
     _clue_changed,
     _is_grid81,
@@ -201,12 +201,11 @@ def build_sudoku_corpus(
 
 def _maze_record(params) -> PuzzleRecord:
     seed, width, height = params
-    maze = generate_maze(seed, width, height)
-    path = solve_maze(maze, "bfs")
+    unsolved, solved = render_maze_pair(*generate_solved_maze(seed, width, height))
     return PuzzleRecord(
         "maze",
-        render_maze(maze),
-        render_maze(maze, path),
+        unsolved,
+        solved,
         {"kind": "maze", "seed": seed, "width": width, "height": height},
     )
 
@@ -296,8 +295,12 @@ def write_corpus(records: list[PuzzleRecord], path) -> None:
     atomic_write_text(path, corpus_text(records))
 
 
+# json.dumps(..., sort_keys=True) without a new encoder per row
+_encode_meta = json.JSONEncoder(sort_keys=True).encode
+
+
 def write_meta(records: list[PuzzleRecord], path) -> None:
-    lines = [json.dumps(r.meta or {"kind": r.kind}, sort_keys=True) for r in records]
+    lines = [_encode_meta(r.meta or {"kind": r.kind}) for r in records]
     atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
 
 

@@ -101,9 +101,9 @@ class PathVerdict:
         return self.kind == "valid"
 
 
-# Model output may describe a maze of any size. solve_maze keeps the
-# neighbor table of mazes up to this many cells a side, and parse_maze keeps
-# the lines of mazes up to this many cells wide.
+# Model output may describe a maze of any size. The generator and solve_maze
+# keep the neighbor table of mazes up to this many cells a side, and
+# parse_maze keeps the lines of mazes up to this many cells wide.
 _CACHED_SIDE_MAX = 16
 
 
@@ -122,17 +122,31 @@ def _grid(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...
     )
 
 
-def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
-    """Seeded recursive-backtracker maze; perfect by construction, with the
-    exit opening carved through the outer south wall."""
+def _neighbors(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...], ...]:
+    """_grid(width, height), kept in its cache only up to _CACHED_SIDE_MAX."""
+    if max(width, height) <= _CACHED_SIDE_MAX:
+        return _grid(width, height)
+    return _grid.__wrapped__(width, height)
+
+
+def generate_solved_maze(rng_seed: int, width: int, height: int) -> tuple[Maze, MazePath]:
+    """Seeded recursive-backtracker maze, perfect by construction, with the
+    exit opening carved through the outer south wall; and its entry-to-exit
+    path, the backtracker's stack when it first reaches the exit. A perfect
+    maze has one simple path, so this is what solve_maze returns."""
     if width < 2 or height < 2:
         raise MazeSizeError(f"maze must be at least 2x2, got {width}x{height}")
-    choice = random.Random(rng_seed).choice
-    grid = _grid(width, height)
+    # Random.choice(options) inlined: the same getrandbits draws, redrawn
+    # until below len(options), as CPython 3.10 to 3.13 make.
+    getrandbits = random.Random(rng_seed).getrandbits
+    grid = _neighbors(width, height)
+    goal = width * height - 1
     walls = [NORTH | EAST | SOUTH | WEST] * (width * height)
     visited = [False] * (width * height)
     visited[0] = True
     stack = []  # the cells below the current one on the backtracker's path
+    tokens = []  # the steps from the entry along the stack to the current cell
+    path = ()
     cell = 0
     while True:
         options = []  # a plain loop: before Python 3.12 a comprehension costs a call per step
@@ -140,18 +154,33 @@ def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
             if not visited[step[0]]:
                 options.append(step)
         if options:
-            neighbor, bit, opposite, _ = choice(options)
+            count = len(options)
+            bits = count.bit_length()
+            draw = getrandbits(bits)
+            while draw >= count:
+                draw = getrandbits(bits)
+            neighbor, bit, opposite, token = options[draw]
             walls[cell] &= ~bit
             walls[neighbor] &= ~opposite
             visited[neighbor] = True
             stack.append(cell)
+            tokens.append(token)
             cell = neighbor
+            if cell == goal:
+                path = tuple(tokens)
         elif stack:
             cell = stack.pop()
+            tokens.pop()
         else:
             break
     walls[-1] &= ~SOUTH  # exit opening
-    return Maze(width, height, tuple(tuple(walls[i: i + width]) for i in range(0, width * height, width)))
+    rows = tuple(tuple(walls[i: i + width]) for i in range(0, width * height, width))
+    return Maze(width, height, rows), path
+
+
+def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
+    """The maze of generate_solved_maze, without its path."""
+    return generate_solved_maze(rng_seed, width, height)[0]
 
 
 def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
@@ -159,10 +188,7 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     path under N, E, S, W neighbor order. For perfect mazes they coincide."""
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
-    if max(maze.width, maze.height) <= _CACHED_SIDE_MAX:
-        grid = _grid(maze.width, maze.height)
-    else:
-        grid = _grid.__wrapped__(maze.width, maze.height)
+    grid = _neighbors(maze.width, maze.height)
     walls = [mask for row in maze.walls for mask in row]
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
@@ -247,27 +273,50 @@ def _row_lines(masks: bytes) -> tuple[str, str]:
     return wall, body
 
 
-def render_maze(maze: Maze, path: MazePath | None = None) -> str:
-    """ASCII render; with a path, the entry shows "**" and every path cell
-    shows the arrow of the step entering it, centered in the cell interior."""
-    if path is not None:
-        verdict = validate_path(maze, path)
-        if not verdict.ok:
-            raise InvalidPathError(f"path is not valid for this maze: {verdict.kind}")
+def _render_lines(maze: Maze) -> list[str]:
+    """The render's lines with blank cell interiors, unstripped."""
     lines = []
     for masks in maze.walls:
         lines += _row_lines(bytes(masks).translate(_CLEAR_SOUTH))
     lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze.walls[-1]]) + "+")
-    if path is not None:
-        x, y = maze.entry
-        row, col = 2 * y + 1, 4 * x + 1  # where the entry's interior starts
-        for token in (ENTRY_MARK, *path):
-            drow, dcol, mark = _MARKS[token]
-            row += drow
-            col += dcol
-            line = lines[row]
-            lines[row] = line[:col] + mark + line[col + 3:]
+    return lines
+
+
+def _mark_lines(maze: Maze, lines: list[str], path: MazePath) -> None:
+    """Write the entry mark and the path's arrows into the maze's render
+    lines; InvalidPathError, before any write, unless the path is valid."""
+    verdict = validate_path(maze, path)
+    if not verdict.ok:
+        raise InvalidPathError(f"path is not valid for this maze: {verdict.kind}")
+    x, y = maze.entry
+    row, col = 2 * y + 1, 4 * x + 1  # where the entry's interior starts
+    for token in (ENTRY_MARK, *path):
+        drow, dcol, mark = _MARKS[token]
+        row += drow
+        col += dcol
+        line = lines[row]
+        lines[row] = line[:col] + mark + line[col + 3:]
+
+
+def _join_lines(lines: list[str]) -> str:
     return "\n".join([line.rstrip() for line in lines])
+
+
+def render_maze(maze: Maze, path: MazePath | None = None) -> str:
+    """ASCII render; with a path, the entry shows "**" and every path cell
+    shows the arrow of the step entering it, centered in the cell interior."""
+    lines = _render_lines(maze)
+    if path is not None:
+        _mark_lines(maze, lines, path)
+    return _join_lines(lines)
+
+
+def render_maze_pair(maze: Maze, path: MazePath) -> tuple[str, str]:
+    """(render_maze(maze), render_maze(maze, path)), building the lines once."""
+    lines = _render_lines(maze)
+    unsolved = _join_lines(lines)
+    _mark_lines(maze, lines, path)
+    return unsolved, _join_lines(lines)
 
 
 class _LineError(Exception):

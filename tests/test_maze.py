@@ -21,13 +21,15 @@ from puzzletext.maze import (
     InvalidPathError,
     MazeParseError,
     generate_maze,
+    generate_solved_maze,
     parse_maze,
     path_prefix_length,
     render_maze,
+    render_maze_pair,
     solve_maze,
     validate_path,
 )
-from puzzletext.maze import _body_line, _wall_line
+from puzzletext.maze import _body_line, _grid, _wall_line
 
 
 def open_internal_edges(maze):
@@ -300,6 +302,71 @@ def test_round_trip_unsolved_and_solved():
             assert render_maze(parsed_maze, parsed_path) == text
 
 
+# --- one pass per record: generate_solved_maze and render_maze_pair ---
+
+
+_OPPOSITE = {NORTH: SOUTH, EAST: WEST, SOUTH: NORTH, WEST: EAST}
+
+
+def reference_backtracker(seed, width, height):
+    """Recursive backtracker over (x, y) cells that draws with
+    Random.choice from the unvisited neighbors in N, E, S, W order."""
+    rng = random.Random(seed)
+    walls = [[NORTH | EAST | SOUTH | WEST] * width for _ in range(height)]
+    visited = {(0, 0)}
+    stack = [(0, 0)]  # the backtracker's path, current cell last
+    while stack:
+        x, y = stack[-1]
+        options = [
+            (x + dx, y + dy, bit)
+            for dx, dy, bit in _OFFSETS.values()
+            if 0 <= x + dx < width and 0 <= y + dy < height and (x + dx, y + dy) not in visited
+        ]
+        if not options:
+            stack.pop()
+            continue
+        nx, ny, bit = rng.choice(options)
+        walls[y][x] &= ~bit
+        walls[ny][nx] &= ~_OPPOSITE[bit]
+        visited.add((nx, ny))
+        stack.append((nx, ny))
+    walls[-1][-1] &= ~SOUTH  # exit opening
+    return Maze(width, height, tuple(map(tuple, walls)))
+
+
+def test_inlined_draws_match_random_choice():
+    for width in range(2, 9):
+        for height in range(2, 9):
+            for seed in range(20):
+                assert generate_maze(seed, width, height) == reference_backtracker(seed, width, height)
+    assert generate_maze(2024, 20, 3) == reference_backtracker(2024, 20, 3)
+
+
+def test_backtracker_path_is_the_solver_path():
+    rng = random.Random(13)
+    for _ in range(200):
+        seed, width, height = rng.getrandbits(63), rng.randint(2, 8), rng.randint(2, 8)
+        maze, path = generate_solved_maze(seed, width, height)
+        assert maze == generate_maze(seed, width, height)
+        assert path == solve_maze(maze, "bfs") == solve_maze(maze, "dfs")
+
+
+def test_render_pair_matches_render_maze():
+    for seed in range(60):
+        maze, path = generate_solved_maze(seed, 2 + seed % 5, 2 + seed % 3)
+        assert render_maze_pair(maze, path) == (render_maze(maze), render_maze(maze, path))
+    looped = knock_out_walls(generate_maze(5, 6, 6), random.Random(5), 10)
+    path = solve_maze(looped)
+    assert render_maze_pair(looped, path) == (render_maze(looped), render_maze(looped, path))
+
+
+def test_render_pair_rejects_invalid_path():
+    maze, path = generate_solved_maze(6, 4, 4)
+    for bad in ((UP, UP), path[:-1], path + (LEFT,)):
+        with pytest.raises(InvalidPathError):
+            render_maze_pair(maze, bad)
+
+
 def test_parse_trailing_whitespace_tolerated():
     maze = generate_maze(11, 4, 4)
     text = render_maze(maze)
@@ -444,3 +511,11 @@ def test_long_and_bad_lines_stay_out_of_the_line_caches():
     with pytest.raises(MazeTokenError, match="line 2, column 2"):
         parse_maze("+---+\n| ? |\n+---+")
     assert _body_line.cache_info().currsize == bodies
+
+
+def test_long_mazes_stay_out_of_the_neighbor_cache():
+    before = _grid.cache_info()
+    maze, path = generate_solved_maze(40, 40, 2)
+    assert solve_maze(maze) == path
+    assert is_spanning_tree(generate_maze(40, 2, 40))
+    assert _grid.cache_info() == before  # not even a lookup: hits and misses are unchanged
