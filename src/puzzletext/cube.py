@@ -79,8 +79,7 @@ class Turn(IntEnum):
     CCW90 = 3
 
 
-_SUFFIX_TO_TURN = {"": Turn.CW90, "2": Turn.HALF180, "'": Turn.CCW90}
-_TURN_TO_SUFFIX = {turn: suffix for suffix, turn in _SUFFIX_TO_TURN.items()}
+_TURN_TO_SUFFIX = {Turn.CW90: "", Turn.HALF180: "2", Turn.CCW90: "'"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,17 +129,20 @@ MOVE_PERMS = _build_move_perms()
 MOVE_GETTERS = {key: itemgetter(*perm) for key, perm in MOVE_PERMS.items()}
 
 
+# The grammar's 18 tokens, each to its shared Move.
+_TOKEN_MOVES = {str(move): move for move in ALL_MOVES}
+
+
 def parse_formula(text: str) -> Formula:
     """Parse move tokens separated by runs of ASCII spaces; any other
     character, including tabs, newlines and Unicode spaces, raises
     FormulaSyntaxError."""
-    moves = []
     tokens = [token for token in text.split(" ") if token]
-    for position, token in enumerate(tokens, start=1):
-        if token[0] not in FACES or token[1:] not in _SUFFIX_TO_TURN:
-            raise FormulaSyntaxError(position, token)
-        moves.append(Move(token[0], _SUFFIX_TO_TURN[token[1:]]))
-    return tuple(moves)
+    try:
+        return tuple(map(_TOKEN_MOVES.__getitem__, tokens))
+    except KeyError as exc:
+        token = exc.args[0]  # the first token not in the table
+        raise FormulaSyntaxError(tokens.index(token) + 1, token) from None
 
 
 def format_formula(formula: Formula) -> str:

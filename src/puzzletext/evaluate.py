@@ -72,20 +72,25 @@ class EvalReport:
     breakdown: dict[str, dict[str, dict[str, int]]]  # param -> value -> class -> count
 
 
+# per face: where its nine stickers start, the face solved, and one line of it
+_FACE_BLOCKS = tuple((9 * index, face * 9, face * 3) for index, face in enumerate(FACES))
+
+
 def cube_progress(cube: str) -> tuple[int, int]:
     """(solved faces, uniform three-sticker rows plus columns, 36 max)."""
     solved_faces = 0
     lines = 0
-    for face_index, face in enumerate(FACES):
-        block = cube[face_index * 9: face_index * 9 + 9]
-        if block == face * 9:
+    for start, solved, line in _FACE_BLOCKS:
+        block = cube[start: start + 9]
+        if block == solved:
             solved_faces += 1
-        for r in range(3):
-            if block[3 * r: 3 * r + 3] == face * 3:
-                lines += 1
-        for c in range(3):
-            if block[c] == block[c + 3] == block[c + 6] == face:
-                lines += 1
+            lines += 6
+        else:
+            # rows, then columns
+            lines += (
+                (block[:3] == line) + (block[3:6] == line) + (block[6:] == line)
+                + (block[::3] == line) + (block[1::3] == line) + (block[2::3] == line)
+            )
     return solved_faces, lines
 
 

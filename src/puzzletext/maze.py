@@ -103,7 +103,8 @@ class PathVerdict:
 
 # Model output may describe a maze of any size. The generator and solve_maze
 # keep the neighbor table of mazes up to this many cells a side, and
-# parse_maze keeps the lines of mazes up to this many cells wide.
+# render_maze and parse_maze keep the lines of mazes up to this many cells
+# wide.
 _CACHED_SIDE_MAX = 16
 
 
@@ -274,10 +275,12 @@ def _row_lines(masks: bytes) -> tuple[str, str]:
 
 
 def _render_lines(maze: Maze) -> list[str]:
-    """The render's lines with blank cell interiors, unstripped."""
+    """The render's lines with blank cell interiors, unstripped. Rows of up
+    to _CACHED_SIDE_MAX cells take them from the _row_lines cache."""
+    row_lines = _row_lines if maze.width <= _CACHED_SIDE_MAX else _row_lines.__wrapped__
     lines = []
     for masks in maze.walls:
-        lines += _row_lines(bytes(masks).translate(_CLEAR_SOUTH))
+        lines += row_lines(bytes(masks).translate(_CLEAR_SOUTH))
     lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze.walls[-1]]) + "+")
     return lines
 
@@ -401,7 +404,9 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
         wall_line, body_line = _wall_line.__wrapped__, _body_line.__wrapped__
 
     walls = []
-    tokens = {}  # (x, y) -> non-blank cell token
+    entries = []  # the cells holding the entry mark
+    entered_from = {}  # cell -> the (token, cell) of each arrow naming it as the cell before
+    arrows = 0
     number = 1  # the 1-based number of the line being parsed
     try:
         below = wall_line(top)
@@ -412,7 +417,12 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
                 raise MazeGeometryError(number, len(body), "cell line length mismatch")
             sides, cells = body_line(body)
             for x, token in cells:
-                tokens[(x, row)] = token
+                if token == ENTRY_MARK:
+                    entries.append((x, row))
+                else:
+                    dx, dy = _STEPS[token][:2]
+                    entered_from.setdefault((x - dx, row - dy), []).append((token, (x, row)))
+                    arrows += 1
             number += 1
             line = lines[number - 1]
             if len(line) != length:
@@ -427,33 +437,24 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
         raise MazeTokenError(number, exc.column, exc.token) from None
     maze = Maze(width, height, tuple(walls))
 
-    entry_cells = [cell for cell, token in tokens.items() if token == ENTRY_MARK]
-    if not entry_cells:
-        if tokens:
+    if not entries:
+        if arrows:
             raise DanglingPathError("arrow tokens present without an entry mark")
         return maze, None
-    if len(entry_cells) > 1:
+    if len(entries) > 1:
         raise DanglingPathError("multiple entry marks")
 
-    # Rebuild the walk: each step enters the cell holding its arrow token.
+    # Rebuild the walk: each step enters the cell holding its arrow token,
+    # from the cell the arrow names. Every arrow names one cell, so the walk
+    # visits no cell twice.
     steps = []
-    position = entry_cells[0]
-    del tokens[position]  # the rest are arrow cells
-    while True:
-        x, y = position
-        candidates = []
-        for token in (UP, RIGHT, DOWN, LEFT):
-            dx, dy, _, _ = _STEPS[token]
-            neighbor = (x + dx, y + dy)
-            if tokens.get(neighbor) == token:
-                candidates.append((token, neighbor))
-        if not candidates:
-            break
-        if len(candidates) > 1:
+    following = entered_from.get(entries[0])
+    while following:
+        if len(following) > 1:
             raise DanglingPathError("path branches; not a single walk")
-        token, position = candidates[0]
-        del tokens[position]
+        token, position = following[0]
         steps.append(token)
-    if tokens:
+        following = entered_from.get(position)
+    if len(steps) != arrows:
         raise DanglingPathError("arrow tokens not connected to the entry walk")
     return maze, tuple(steps)

@@ -80,13 +80,19 @@ def format_grid81(grid: Grid) -> str:
 
 
 _UNITS = ROW_UNITS + COLUMN_UNITS + BLOCK_UNITS
-# find_violations works on bytes: the 27 units' cells laid end to end (243
-# bytes), then one 0/1 copy of those per digit 1-9, digit-major (2,187 bytes).
+# Both violation counters work on 0/1 bytes, one copy of the cells per digit
+# 1-9 made by translating with _ONE_HOT, digit-major, read as one big integer.
+# Multiplying 0/1 bytes by a pattern of 1-bytes sums, in one byte of the
+# product, the cells under the pattern; no sum exceeds 9, so nothing carries.
+# find_violations first gathers the 27 units' cells end to end (243 bytes),
+# so each unit's count lands in its last byte after one multiply by
+# _NINE_ONES, and it then picks the cells of each repeated (unit, digit).
+# count_violations only counts, straight from the 81 row-major cells (byte
+# 81*(digit-1) + cell): rows and blocks by one multiply each, columns by
+# adding shifted copies, then one bit_count per unit family.
 _UNIT_CELLS = itemgetter(*[i for unit in _UNITS for i in unit])
 _ONE_HOT = [bytes(digit) + b"\x01" + bytes(255 - digit) for digit in range(1, 10)]
 _AT_LEAST_TWO = bytes(2) + b"\x01" * 254
-# Multiplying 0/1 bytes by this puts each 9-byte unit's count in its last
-# byte; no count exceeds 9, so nothing carries.
 _NINE_ONES = int.from_bytes(b"\x01" * 9, "little")
 # digit-major (digit * 27 + unit) to unit-major (unit * 9 + digit)
 _BY_UNIT = itemgetter(*[d * 27 + u for u in range(27) for d in range(9)])
@@ -105,17 +111,23 @@ _UNIT_DIGITS = tuple(
     for digit in range(9)
 )
 
+
+def _count_bytes(last_cells) -> tuple[int, int]:
+    """For the byte of each digit's copy that holds a unit family's counts
+    (at these cells, one per unit): 126 to add there, which sets the byte's
+    high bit exactly when its count is 2 or more, and the mask of those bits."""
+    positions = [81 * digit + cell for digit in range(9) for cell in last_cells]
+    ones = sum(1 << 8 * position for position in positions)
+    return 126 * ones, 128 * ones
+
+
+# a 3x3 block of 1-bytes: its product puts a block's count at its last cell
+_BLOCK_ONES = sum(1 << 8 * (9 * r + c) for r in range(3) for c in range(3))
+_ROW_ADD, _ROW_HIGH = _count_bytes([9 * r + 8 for r in range(9)])
+_BLOCK_ADD, _BLOCK_HIGH = _count_bytes([27 * br + 20 + 3 * bc for br in range(3) for bc in range(3)])
+_COLUMN_ADD, _COLUMN_HIGH = _count_bytes([72 + c for c in range(9)])
+
 _tuple_new = tuple.__new__
-
-
-def _repeats(cells) -> tuple[bytes, bytes]:
-    """The one-hot bytes, and one 0/1 byte per (digit, unit), digit-major,
-    that is 1 where the digit appears twice or more in the unit."""
-    by_unit = bytes(_UNIT_CELLS(cells))
-    one_hot = b"".join([by_unit.translate(table) for table in _ONE_HOT])
-    sums = int.from_bytes(one_hot, "little") * _NINE_ONES
-    counts = sums.to_bytes(len(one_hot) + 8, "little")[8::9]
-    return one_hot, counts.translate(_AT_LEAST_TWO)
 
 
 def find_violations(grid: Grid) -> list[Violation]:
@@ -124,7 +136,10 @@ def find_violations(grid: Grid) -> list[Violation]:
     Order is deterministic: rows 0-8, then columns, then blocks, digits
     ascending within each unit. Blanks are exempt.
     """
-    one_hot, repeated = _repeats(grid)
+    by_unit = bytes(_UNIT_CELLS(grid))
+    one_hot = b"".join([by_unit.translate(table) for table in _ONE_HOT])
+    sums = int.from_bytes(one_hot, "little") * _NINE_ONES
+    repeated = sums.to_bytes(len(one_hot) + 8, "little")[8::9].translate(_AT_LEAST_TWO)
     violations = []
     for kind, index, digit, unit, span in compress(_UNIT_DIGITS, _BY_UNIT(repeated)):
         positions = _PICK[one_hot[span]](unit)
@@ -134,8 +149,19 @@ def find_violations(grid: Grid) -> list[Violation]:
 
 
 def count_violations(grid: Grid) -> int:
-    """len(find_violations(grid)), without building the violations."""
-    return _repeats(grid)[1].count(1)
+    """len(find_violations(grid)), without gathering units or building the
+    violations."""
+    cells = bytes(grid)
+    one_hot = int.from_bytes(b"".join([cells.translate(table) for table in _ONE_HOT]), "little")
+    # a column's count, at its last cell, sums the cells 0 to 8 rows above it
+    columns = one_hot + (one_hot << 72)
+    columns += columns << 144
+    columns += (columns << 288) + (one_hot << 576)
+    return (
+        ((one_hot * _NINE_ONES + _ROW_ADD) & _ROW_HIGH).bit_count()
+        + ((one_hot * _BLOCK_ONES + _BLOCK_ADD) & _BLOCK_HIGH).bit_count()
+        + ((columns + _COLUMN_ADD) & _COLUMN_HIGH).bit_count()
+    )
 
 
 # 0xFF for each clue (non-zero) cell value, 0 for a blank

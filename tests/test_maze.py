@@ -29,7 +29,7 @@ from puzzletext.maze import (
     solve_maze,
     validate_path,
 )
-from puzzletext.maze import _body_line, _grid, _wall_line
+from puzzletext.maze import _body_line, _grid, _row_lines, _wall_line
 
 
 def open_internal_edges(maze):
@@ -519,3 +519,10 @@ def test_long_mazes_stay_out_of_the_neighbor_cache():
     assert solve_maze(maze) == path
     assert is_spanning_tree(generate_maze(40, 2, 40))
     assert _grid.cache_info() == before  # not even a lookup: hits and misses are unchanged
+
+
+def test_wide_mazes_stay_out_of_the_row_cache():
+    before = _row_lines.cache_info()
+    maze, path = generate_solved_maze(40, 40, 2)
+    assert render_maze_pair(maze, path) == (render_maze(maze), render_maze(maze, path))
+    assert _row_lines.cache_info() == before  # not even a lookup: hits and misses are unchanged

@@ -13,6 +13,7 @@ from puzzletext.sudoku import (
     UnsolvableGridError,
     Violation,
     count_solutions,
+    count_violations,
     find_violations,
     format_grid81,
     generate_puzzle,
@@ -125,7 +126,9 @@ def test_violations_match_brute_force_scan():
     rng = random.Random(17)
     for _ in range(2000):
         grid = random_grid(rng)
-        assert find_violations(grid) == brute_force_violations(grid)
+        expected = brute_force_violations(grid)
+        assert find_violations(grid) == expected
+        assert count_violations(grid) == len(expected)
 
 
 def test_violations_when_every_unit_repeats_one_digit_nine_times():
@@ -135,6 +138,7 @@ def test_violations_when_every_unit_repeats_one_digit_nine_times():
         violations = find_violations(grid)
         assert len(violations) == 27
         assert violations == brute_force_violations(grid)
+        assert count_violations(grid) == 27
 
 
 # --- solving ---
