@@ -301,7 +301,7 @@ def build_parser() -> _Parser:
     g.add_argument("--model", required=True)
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--count", type=_number(int, 0), default=1)
-    g.add_argument("--max-chars", type=_number(int, 1), default=1024)
+    g.add_argument("--max-chars", type=_number(int, 1), default=corpus_mod.DEFAULT_MAX_CHARS)
     g.add_argument("--temperature", type=_number(float, 0, strict=True), default=1.0)
     g.add_argument("--prompt", default="")
     g.add_argument("--prompt-file", default=None)
@@ -324,7 +324,7 @@ def build_parser() -> _Parser:
         g.add_argument("--meta", default=None)
         g.set_defaults(func=_cmd_score, prompts=None)
 
-    add_score("cube", ("--max-chars", dict(type=_number(int, 1), default=1024)))
+    add_score("cube", ("--max-chars", dict(type=_number(int, 1), default=corpus_mod.DEFAULT_MAX_CHARS)))
     add_score("sudoku", ("--lenient-clues", dict(dest="strict_clues", action="store_false")))
     add_score("maze", ("--jsonl", dict(action="store_true")), prompts=False)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from ._util import atomic_write_text, read_text
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
-from .maze import MazeSizeError, generate_solved_maze, render_maze_pair
+from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
 from .sudoku import (
     _clue_changed,
     _is_grid81,
@@ -40,7 +40,7 @@ RESPONSE_TAG = "[RESPONSE]"
 
 _SINGLE_LINE_KINDS = ("cube", "sudoku")
 
-MAX_MAZE_SIDE = 6  # rendered 6x6 pairs already brush the 1024-character budget
+DEFAULT_MAX_CHARS = 1024  # response budget standing in for GPT-2's 1,024-token context
 
 
 class FramingError(ValueError):
@@ -237,34 +237,38 @@ def build_maze_corpus(
 def ingest_sudoku_csv(path) -> tuple[list[PuzzleRecord], list[RowIssue]]:
     """Read a puzzle/solution CSV in the public 1M-sudoku layout (header
     `quizzes,solutions`, 81-digit values). Rows whose solution is not a
-    consistent completion of the puzzle are rejected, not fatal."""
+    consistent completion of the puzzle are rejected, not fatal; a line
+    the csv module cannot read is a ValueError that names it."""
     records: list[PuzzleRecord] = []
     issues: list[RowIssue] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"quizzes", "solutions"} <= set(reader.fieldnames):
-            raise ValueError("CSV must have a header with quizzes and solutions columns")
-        for line, row in enumerate(reader, start=2):
-            quiz_text = (row.get("quizzes") or "").strip()
-            solution_text = (row.get("solutions") or "").strip()
-            try:
-                puzzle = parse_grid81(quiz_text)
-                solution = parse_grid81(solution_text)
-            except ValueError as exc:
-                issues.append(RowIssue(line, str(exc)))
-                continue
-            if not is_complete(solution):
-                issues.append(RowIssue(line, "solution is incomplete"))
-                continue
-            if count_violations(solution):
-                issues.append(RowIssue(line, "solution has repeated digits"))
-                continue
-            if _clue_changed(puzzle, solution):
-                issues.append(RowIssue(line, "solution conflicts with a puzzle clue"))
-                continue
-            records.append(
-                PuzzleRecord("sudoku", quiz_text, solution_text, {"kind": "sudoku", "source_line": line})
-            )
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or not {"quizzes", "solutions"} <= set(reader.fieldnames):
+                raise ValueError("CSV must have a header with quizzes and solutions columns")
+            for line, row in enumerate(reader, start=2):
+                quiz_text = (row.get("quizzes") or "").strip()
+                solution_text = (row.get("solutions") or "").strip()
+                try:
+                    puzzle = parse_grid81(quiz_text)
+                    solution = parse_grid81(solution_text)
+                except ValueError as exc:
+                    issues.append(RowIssue(line, str(exc)))
+                    continue
+                if not is_complete(solution):
+                    issues.append(RowIssue(line, "solution is incomplete"))
+                    continue
+                if count_violations(solution):
+                    issues.append(RowIssue(line, "solution has repeated digits"))
+                    continue
+                if _clue_changed(puzzle, solution):
+                    issues.append(RowIssue(line, "solution conflicts with a puzzle clue"))
+                    continue
+                records.append(
+                    PuzzleRecord("sudoku", quiz_text, solution_text, {"kind": "sudoku", "source_line": line})
+                )
+    except csv.Error as exc:  # such as a field over csv.field_size_limit()
+        raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
     return records, issues
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from . import corpus as corpus_mod
 from ._util import read_text
+from .corpus import DEFAULT_MAX_CHARS
 from .cube import (
     FACES,
     FaceletStringError,
@@ -34,8 +35,6 @@ from .maze import (
 from .sudoku import _clue_changed, count_violations, parse_grid81
 
 INVALID, INCORRECT, CORRECT = "invalid", "incorrect", "correct"
-
-DEFAULT_MAX_CHARS = 1024  # response budget standing in for a model token limit
 
 
 class BadPromptError(ValueError):

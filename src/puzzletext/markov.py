@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from ._util import atomic_write_text, read_text
-from .corpus import END_TOKEN
+from .corpus import DEFAULT_MAX_CHARS, END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
 
@@ -96,12 +96,12 @@ def conditional_prob(model: CharMarkovModel, history: str, char: str) -> float:
 
 
 def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., str]:
-    """A `draw(prompt, max_chars=1024, rng_seed=0)` function that samples like
-    `sample` at this temperature. Draws share one cumulative table per
-    context seen in training, plus one backoff table for every unseen
-    context, each built on first use; so a reused sampler builds each table
-    once and holds at most len(model.counts) + 1 of them. The model is only
-    read, and must not change while in use."""
+    """A `draw(prompt, max_chars=DEFAULT_MAX_CHARS, rng_seed=0)` function
+    that samples like `sample` at this temperature. Draws share one
+    cumulative table per context seen in training, plus one backoff table
+    for every unseen context, each built on first use; so a reused sampler
+    builds each table once and holds at most len(model.counts) + 1 of them.
+    The model is only read, and must not change while in use."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     alphabet = model.alphabet
@@ -126,7 +126,7 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
             cumulative = tables[key] = list(accumulate(weights))
         return cumulative
 
-    def draw(prompt: str, max_chars: int = 1024, rng_seed: int = 0) -> str:
+    def draw(prompt: str, max_chars: int = DEFAULT_MAX_CHARS, rng_seed: int = 0) -> str:
         if max_chars < 1:
             raise ValueError("max_chars must be >= 1")
         rng = random.Random(rng_seed)
@@ -152,7 +152,7 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
 def sample(
     model: CharMarkovModel,
     prompt: str,
-    max_chars: int = 1024,
+    max_chars: int = DEFAULT_MAX_CHARS,
     rng_seed: int = 0,
     temperature: float = 1.0,
 ) -> str:
@@ -188,12 +188,14 @@ def save_model(model: CharMarkovModel, path) -> None:
 
 def load_model(path) -> CharMarkovModel:
     payload = json.loads(read_text(path))
+    if not isinstance(payload, dict):
+        raise ValueError(f"model file holds a JSON {type(payload).__name__}, not an object")
     if payload.get("format") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {payload.get('format')!r}")
-    return CharMarkovModel(
-        order=payload["order"],
-        alpha=payload["alpha"],
-        alphabet=tuple(payload["alphabet"]),
-        counts={ctx: dict(bucket) for ctx, bucket in payload["counts"].items()},
-        char_counts=dict(payload["char_counts"]),
-    )
+    missing = [key for key in ("order", "alpha", "alphabet", "counts", "char_counts") if key not in payload]
+    if missing:
+        raise ValueError(f"model file lacks {', '.join(missing)}")
+    counts, char_counts = payload["counts"], payload["char_counts"]
+    if not isinstance(counts, dict) or not all(isinstance(b, dict) for b in (char_counts, *counts.values())):
+        raise ValueError("model counts and char_counts must hold JSON objects")
+    return CharMarkovModel(payload["order"], payload["alpha"], tuple(payload["alphabet"]), counts, char_counts)

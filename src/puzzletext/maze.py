@@ -101,11 +101,16 @@ class PathVerdict:
         return self.kind == "valid"
 
 
-# Model output may describe a maze of any size. The generator and solve_maze
-# keep the neighbor table of mazes up to this many cells a side, and
-# render_maze and parse_maze keep the lines of mazes up to this many cells
-# wide.
-_CACHED_SIDE_MAX = 16
+# The largest side `gen maze` makes. Model output may describe a maze of any
+# size, so the four caches (_grid, _row_lines, _wall_line and _body_line)
+# keep only mazes up to this side.
+MAX_MAZE_SIDE = 6
+
+
+def _cached(function, width: int, height: int):
+    """`function` for a width x height maze: itself, with its lru_cache, if
+    neither side exceeds MAX_MAZE_SIDE, else the uncached original."""
+    return function if max(width, height) <= MAX_MAZE_SIDE else function.__wrapped__
 
 
 @lru_cache(maxsize=64)
@@ -123,13 +128,6 @@ def _grid(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...
     )
 
 
-def _neighbors(width: int, height: int) -> tuple[tuple[tuple[int, int, int, str], ...], ...]:
-    """_grid(width, height), kept in its cache only up to _CACHED_SIDE_MAX."""
-    if max(width, height) <= _CACHED_SIDE_MAX:
-        return _grid(width, height)
-    return _grid.__wrapped__(width, height)
-
-
 def generate_solved_maze(rng_seed: int, width: int, height: int) -> tuple[Maze, MazePath]:
     """Seeded recursive-backtracker maze, perfect by construction, with the
     exit opening carved through the outer south wall; and its entry-to-exit
@@ -140,7 +138,7 @@ def generate_solved_maze(rng_seed: int, width: int, height: int) -> tuple[Maze, 
     # Random.choice(options) inlined: the same getrandbits draws, redrawn
     # until below len(options), as CPython 3.10 to 3.13 make.
     getrandbits = random.Random(rng_seed).getrandbits
-    grid = _neighbors(width, height)
+    grid = _cached(_grid, width, height)(width, height)
     goal = width * height - 1
     walls = [NORTH | EAST | SOUTH | WEST] * (width * height)
     visited = [False] * (width * height)
@@ -189,7 +187,7 @@ def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     path under N, E, S, W neighbor order. For perfect mazes they coincide."""
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
-    grid = _neighbors(maze.width, maze.height)
+    grid = _cached(_grid, maze.width, maze.height)(maze.width, maze.height)
     walls = [mask for row in maze.walls for mask in row]
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
@@ -261,7 +259,7 @@ def path_prefix_length(maze: Maze, path: MazePath) -> int:
 # row cache is keyed by the row's masks without it, as bytes. A generated
 # maze row of width w then has at most 2**(2w - 1) keys (its outer walls are
 # closed, and each inner wall is one cell's EAST and the next one's WEST),
-# 2,728 over widths 2 to 6, so every generated row fits the bound.
+# 2,728 over widths 2 to MAX_MAZE_SIDE, so every generated row fits the bound.
 _CLEAR_SOUTH = bytes(mask & ~SOUTH for mask in range(256))
 
 
@@ -275,9 +273,8 @@ def _row_lines(masks: bytes) -> tuple[str, str]:
 
 
 def _render_lines(maze: Maze) -> list[str]:
-    """The render's lines with blank cell interiors, unstripped. Rows of up
-    to _CACHED_SIDE_MAX cells take them from the _row_lines cache."""
-    row_lines = _row_lines if maze.width <= _CACHED_SIDE_MAX else _row_lines.__wrapped__
+    """The render's lines with blank cell interiors, unstripped."""
+    row_lines = _cached(_row_lines, maze.width, maze.height)
     lines = []
     for masks in maze.walls:
         lines += row_lines(bytes(masks).translate(_CLEAR_SOUTH))
@@ -377,16 +374,10 @@ def _body_line(line: str) -> tuple[int, tuple[tuple[int, str], ...]]:
     return int.from_bytes(sides, "big"), tuple(tokens)
 
 
-# Longer lines are parsed without the caches, so they cannot pin large
-# strings in them.
-_CACHED_LINE_MAX = 4 * _CACHED_SIDE_MAX + 1
-
-
 def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
     """Invert render_maze: recover wall masks and, when an entry mark is
-    present, the path walk. Trailing ASCII spaces are ignored per line. Lines
-    of up to _CACHED_LINE_MAX characters are parsed once per distinct text,
-    by _wall_line or _body_line."""
+    present, the path walk. Trailing ASCII spaces are ignored per line. In a
+    maze up to MAX_MAZE_SIDE a side, each distinct line is parsed once."""
     lines = [line.rstrip(" ") for line in text.split("\n")]
     while lines and lines[-1] == "":
         lines.pop()
@@ -398,10 +389,7 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
         raise MazeGeometryError(1, len(top), "wall line length must be 4*width+1")
     width = (len(top) - 1) // 4
     length = 4 * width + 1  # every line is checked to have it before it is parsed
-    if length <= _CACHED_LINE_MAX:
-        wall_line, body_line = _wall_line, _body_line
-    else:
-        wall_line, body_line = _wall_line.__wrapped__, _body_line.__wrapped__
+    wall_line, body_line = _cached(_wall_line, width, height), _cached(_body_line, width, height)
 
     walls = []
     entries = []  # the cells holding the entry mark

@@ -7,7 +7,8 @@ or 3x3 block; solved means complete and consistent.
 from __future__ import annotations
 
 import random
-from itertools import compress, product
+from functools import lru_cache
+from itertools import compress, islice, product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -200,10 +201,17 @@ def _make_masks(cells):
     return masks
 
 
-def _solve_cells(cells, masks, limit, solutions, rng=None):
-    """Backtracking search; appends up to `limit` completed cell tuples.
-    Each node fills the blank with the fewest candidates, ties to the lowest
-    index. Digits are tried in ascending order, or shuffled by `rng` when given."""
+@lru_cache(maxsize=None)  # a mask holds bits 1-9 only, so at most 512 keys
+def _digits(free: int) -> tuple[int, ...]:
+    """The digits whose bits are set in a candidate mask, ascending."""
+    return tuple(d for d in range(1, 10) if free >> d & 1)
+
+
+def _completions(cells, masks, rng=None):
+    """Backtracking search, yielding each completed cell tuple in turn. Each
+    node fills the blank with the fewest candidates, ties to the lowest
+    index. Digits are tried in ascending order, or shuffled by `rng` when
+    given. `cells` and `masks` are filled in place while the search runs."""
     cell, free, fewest = None, 0, 10
     for i, digit in enumerate(cells):
         if digit == 0:
@@ -215,22 +223,22 @@ def _solve_cells(cells, masks, limit, solutions, rng=None):
                 if count <= 1:
                     break
     if cell is None:
-        solutions.append(tuple(cells))
-        return len(solutions) >= limit
-    digits = [d for d in range(1, 10) if free >> d & 1]
+        yield tuple(cells)
+        return
+    digits = _digits(free)
     if rng is not None:
+        digits = list(digits)
         rng.shuffle(digits)
+    units = _CELL_UNITS[cell]
     for digit in digits:
         bit = 1 << digit
         cells[cell] = digit
-        for u in _CELL_UNITS[cell]:
+        for u in units:
             masks[u] |= bit
-        if _solve_cells(cells, masks, limit, solutions, rng):
-            return True
-        cells[cell] = 0
-        for u in _CELL_UNITS[cell]:
+        yield from _completions(cells, masks, rng)
+        for u in units:
             masks[u] &= ~bit
-    return False
+    cells[cell] = 0
 
 
 def solve_sudoku(grid: Grid) -> Grid:
@@ -241,11 +249,10 @@ def solve_sudoku(grid: Grid) -> Grid:
     masks = _make_masks(cells)
     if masks is None:
         raise InconsistentGridError("input grid has repeated digits")
-    solutions: list[tuple[int, ...]] = []
-    _solve_cells(cells, masks, 1, solutions)
-    if not solutions:
+    solution = next(_completions(cells, masks), None)
+    if solution is None:
         raise UnsolvableGridError("no completion exists")
-    return solutions[0]
+    return solution
 
 
 def count_solutions(grid: Grid, limit: int) -> int:
@@ -255,15 +262,7 @@ def count_solutions(grid: Grid, limit: int) -> int:
     masks = _make_masks(list(grid))
     if masks is None:
         return 0
-    solutions: list[tuple[int, ...]] = []
-    _solve_cells(list(grid), masks, limit, solutions)
-    return len(solutions)
-
-
-def _random_solved_grid(rng: random.Random) -> Grid:
-    solutions: list[tuple[int, ...]] = []
-    _solve_cells([0] * 81, [0] * 27, 1, solutions, rng)
-    return solutions[0]
+    return sum(1 for _ in islice(_completions(list(grid), masks), limit))
 
 
 def generate_puzzle(
@@ -279,7 +278,7 @@ def generate_puzzle(
         raise ValueError(f"clues must be in 17..80, got {clues}")
     rng = random.Random(rng_seed)
     for _ in range(max_attempts):
-        solution = _random_solved_grid(rng)
+        solution = next(_completions([0] * 81, [0] * 27, rng))
         cells = list(solution)
         order = list(range(81))
         rng.shuffle(order)

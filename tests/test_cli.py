@@ -351,6 +351,26 @@ def test_score_maze_jsonl_malformed_line_names_file_line(tmp_path, capsys):
     assert captured.err.startswith("error: line 2: Expecting property name")
 
 
+def test_malformed_model_and_csv_files_are_data_errors(tmp_path, capsys):
+    models = {
+        '[1, 2]': "error: model file holds a JSON list, not an object",
+        '{"format": 1}': "error: model file lacks order, alpha, alphabet, counts, char_counts",
+        '{"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts": {"ab": 3}, "char_counts": {}}':
+            "error: model counts and char_counts must hold JSON objects",
+    }
+    model = tmp_path / "model.json"
+    for text, message in models.items():
+        model.write_text(text, encoding="utf-8")
+        assert run(["sample", "--model", str(model), "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+    csv_path = tmp_path / "big.csv"
+    rows = ["quizzes,solutions", f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}", "1" * 131_073 + ",2", ""]
+    csv_path.write_text("\n".join(rows), encoding="utf-8")
+    assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(tmp_path / "o.txt")]) == 2
+    assert capsys.readouterr() == ("", "error: line 3: field larger than field limit (131072)\n")
+    assert not (tmp_path / "o.txt").exists()
+
+
 # --- plumbing ---
 
 

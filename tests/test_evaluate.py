@@ -35,7 +35,8 @@ from puzzletext.evaluate import (
     ingest_external_outputs,
     report_to_dict,
 )
-from puzzletext.maze import EAST, NORTH, SOUTH, WEST, Maze, _grid, generate_maze, render_maze, solve_maze
+from puzzletext.maze import EAST, MAX_MAZE_SIDE, NORTH, SOUTH, WEST, Maze, generate_maze, render_maze, solve_maze
+from puzzletext.maze import _body_line, _grid, _wall_line
 from test_maze import mutated_renders
 
 SOLVED = SOLVED_FACELETS
@@ -229,22 +230,22 @@ def test_classify_maze_missing_path_is_incorrect():
 
 
 def test_classify_maze_keeps_no_neighbor_table_for_large_mazes():
-    # an open 40x40 room, built without generate_maze so no table is cached yet
-    n = 40
-    walls = tuple(
-        tuple(
-            (NORTH if y == 0 else 0) | (WEST if x == 0 else 0) | (EAST if x == n - 1 else 0)
-            | (SOUTH if y == n - 1 and x < n - 1 else 0)
-            for x in range(n)
+    # open rooms, built without generate_maze, one side over MAX_MAZE_SIDE
+    for width, height in ((40, 40), (MAX_MAZE_SIDE + 1, 2), (2, MAX_MAZE_SIDE + 1)):
+        walls = tuple(
+            tuple(
+                (NORTH if y == 0 else 0) | (WEST if x == 0 else 0) | (EAST if x == width - 1 else 0)
+                | (SOUTH if y == height - 1 and x < width - 1 else 0)
+                for x in range(width)
+            )
+            for y in range(height)
         )
-        for y in range(n)
-    )
-    text = render_maze(Maze(n, n, walls))
-    record = corpus.serialize_record(corpus.PuzzleRecord("maze", text, text))
-    before = _grid.cache_info().currsize
-    verdict = classify_maze(record)
-    assert verdict.status == "incorrect"
-    assert _grid.cache_info().currsize == before
+        text = render_maze(Maze(width, height, walls))
+        record = corpus.serialize_record(corpus.PuzzleRecord("maze", text, text))
+        before = [cache.cache_info() for cache in (_grid, _wall_line, _body_line)]
+        verdict = classify_maze(record)
+        assert verdict.status == "incorrect"
+        assert [cache.cache_info() for cache in (_grid, _wall_line, _body_line)] == before
 
 
 # --- aggregation ---

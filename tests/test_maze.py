@@ -19,6 +19,7 @@ from puzzletext.maze import (
     MazeSizeError,
     MazeTokenError,
     InvalidPathError,
+    MAX_MAZE_SIDE,
     MazeParseError,
     generate_maze,
     generate_solved_maze,
@@ -498,12 +499,19 @@ def line_cache_sizes():
     return _wall_line.cache_info().currsize, _body_line.cache_info().currsize
 
 
+# (seed, width, height): wider, taller, and one cell over MAX_MAZE_SIDE on either side
+UNCACHED_SIZES = [(40, 40, 2), (40, 2, 40), (7, MAX_MAZE_SIDE + 1, 2), (7, 2, MAX_MAZE_SIDE + 1)]
+
+
 def test_long_and_bad_lines_stay_out_of_the_line_caches():
-    maze = generate_maze(40, 40, 2)
-    path = solve_maze(maze)
+    before = _wall_line.cache_info(), _body_line.cache_info()
+    for seed, width, height in UNCACHED_SIZES:
+        maze = generate_maze(seed, width, height)
+        path = solve_maze(maze)
+        assert parse_maze(render_maze(maze)) == (maze, None)
+        assert parse_maze(render_maze(maze, path)) == (maze, path)
+    assert (_wall_line.cache_info(), _body_line.cache_info()) == before  # not even a lookup
     before = line_cache_sizes()
-    assert parse_maze(render_maze(maze)) == (maze, None)
-    assert parse_maze(render_maze(maze, path)) == (maze, path)
     with pytest.raises(MazeGeometryError, match="expected '---' or spaces at line 1, column 2"):
         parse_maze("+-x-+\n|   |\n+---+")
     assert line_cache_sizes() == before
@@ -515,14 +523,43 @@ def test_long_and_bad_lines_stay_out_of_the_line_caches():
 
 def test_long_mazes_stay_out_of_the_neighbor_cache():
     before = _grid.cache_info()
-    maze, path = generate_solved_maze(40, 40, 2)
-    assert solve_maze(maze) == path
-    assert is_spanning_tree(generate_maze(40, 2, 40))
+    for seed, width, height in UNCACHED_SIZES:
+        maze, path = generate_solved_maze(seed, width, height)
+        assert solve_maze(maze) == path
+        assert is_spanning_tree(generate_maze(seed + 1, width, height))
     assert _grid.cache_info() == before  # not even a lookup: hits and misses are unchanged
 
 
 def test_wide_mazes_stay_out_of_the_row_cache():
     before = _row_lines.cache_info()
-    maze, path = generate_solved_maze(40, 40, 2)
-    assert render_maze_pair(maze, path) == (render_maze(maze), render_maze(maze, path))
+    for seed, width, height in UNCACHED_SIZES:
+        maze, path = generate_solved_maze(seed, width, height)
+        assert render_maze_pair(maze, path) == (render_maze(maze), render_maze(maze, path))
     assert _row_lines.cache_info() == before  # not even a lookup: hits and misses are unchanged
+
+
+def test_the_largest_generated_maze_enters_every_cache():
+    maze, path = generate_solved_maze(7, MAX_MAZE_SIDE, MAX_MAZE_SIDE)
+    text = render_maze(maze, path)
+    assert parse_maze(text) == (maze, path)
+    caches = (_grid, _row_lines, _wall_line, _body_line)
+    before = [cache.cache_info() for cache in caches]
+    assert solve_maze(maze) == path
+    assert render_maze(maze, path) == text
+    assert parse_maze(text) == (maze, path)
+    # the second pass finds everything in the caches: the neighbor table, the
+    # six rows, the seven wall lines and the six body lines
+    hits = [after.hits - info.hits for after, info in zip((c.cache_info() for c in caches), before)]
+    assert hits == [1, MAX_MAZE_SIDE, MAX_MAZE_SIDE + 1, MAX_MAZE_SIDE]
+    assert [c.cache_info().misses for c in caches] == [info.misses for info in before]
+
+
+def test_every_generated_size_keeps_its_neighbor_table():
+    sizes = [(w, h) for w in range(2, MAX_MAZE_SIDE + 1) for h in range(2, MAX_MAZE_SIDE + 1)]
+    for width, height in sizes:
+        generate_maze(0, width, height)
+    before = _grid.cache_info()
+    for width, height in sizes:
+        _grid(width, height)
+    assert _grid.cache_info().hits - before.hits == len(sizes) == 25
+    assert _grid.cache_info().misses == before.misses
