@@ -8,8 +8,9 @@ from puzzletext import build_cube_corpus, build_maze_corpus, dedup_and_split
 from puzzletext.corpus import serialize_record
 
 # Cube records pair a 54-character state with a minimal solving formula,
-# an equal number per scramble length.
-records = build_cube_corpus(rng_seed=7, total=500, max_scramble=5)
+# an equal number per scramble length. The builders return lazy iterators;
+# list() keeps the records for the several passes below.
+records = list(build_cube_corpus(rng_seed=7, total=500, max_scramble=5))
 print("one cube record:")
 print(serialize_record(records[0]))
 print()

@@ -77,22 +77,19 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     return sizes
 
 
-def _write_corpus_and_meta(records, out_path: str) -> None:
-    corpus_mod.write_corpus(records, out_path)
-    corpus_mod.write_meta(records, out_path + ".meta.jsonl")
-    print(f"wrote {len(records)} records to {out_path}", file=sys.stderr)
-
-
 def _cmd_gen(args) -> int:
-    _write_corpus_and_meta(args.build(args), args.out)
+    count = corpus_mod.write_corpus_and_meta(args.build(args), args.out)
+    print(f"wrote {count} records to {args.out}", file=sys.stderr)
     return 0
 
 
 def _cmd_ingest_sudoku_csv(args) -> int:
-    records, issues = corpus_mod.ingest_sudoku_csv(args.csv)
+    issues = []
+    records = corpus_mod.ingest_sudoku_csv(args.csv, issues)
+    count = corpus_mod.write_corpus_and_meta(records, args.out)
     for issue in issues:
         print(f"rejected line {issue.line}: {issue.reason}", file=sys.stderr)
-    _write_corpus_and_meta(records, args.out)
+    print(f"wrote {count} records to {args.out}", file=sys.stderr)
     return 0
 
 

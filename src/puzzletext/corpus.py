@@ -11,15 +11,20 @@ framing tokens sit on their own lines around the unsolved and solved
 renders. Corpus files are UTF-8 with LF newlines, one record per line for
 the single-line kinds and concatenated blocks for mazes. Each corpus gets
 a JSON-lines metadata sidecar carrying per-record generation parameters.
+
+The builders and the CSV ingester return lazy iterators, and the writers
+take any iterable, so a corpus goes from its generator to the disk one
+record at a time.
 """
 from __future__ import annotations
 
 import csv
 import json
 import random
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 
-from ._util import atomic_write_text, read_text
+from ._util import atomic_writer, read_text
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
 from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
@@ -127,14 +132,20 @@ def parse_record(text: str) -> PuzzleRecord:
     return PuzzleRecord(_detect_single_line_kind(prompt), prompt, response, {})
 
 
-def _map_records(worker, params, jobs: int):
+def _map_records(worker, params: Iterator, total: int, jobs: int) -> Iterator[PuzzleRecord]:
+    """`worker` over `total` lazily drawn params, in input order."""
     if jobs > 1:
-        # Imported here: only --jobs > 1 pays its import time.
-        import multiprocessing
+        return _pool_records(worker, params, total, jobs)
+    return map(worker, params)
 
-        with multiprocessing.Pool(jobs) as pool:
-            return pool.map(worker, params)
-    return [worker(p) for p in params]
+
+def _pool_records(worker, params: Iterator, total: int, jobs: int) -> Iterator[PuzzleRecord]:
+    # Imported here: only --jobs > 1 pays its import time.
+    import multiprocessing
+
+    chunksize = max(1, -(-total // (jobs * 4)))  # the chunk size pool.map picks
+    with multiprocessing.Pool(jobs) as pool:
+        yield from pool.imap(worker, params, chunksize)
 
 
 def _cube_record(params) -> PuzzleRecord:
@@ -151,7 +162,7 @@ def _cube_record(params) -> PuzzleRecord:
     )
 
 
-def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int = 1) -> list[PuzzleRecord]:
+def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int = 1) -> Iterator[PuzzleRecord]:
     """total/max_scramble scrambles per length 1..max_scramble, each paired
     with a minimal solving formula. Pre-dedup count is exactly `total`."""
     if max_scramble < 1:
@@ -159,12 +170,12 @@ def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int
     if total % max_scramble:
         raise DivisibilityError(f"total {total} not divisible by max_scramble {max_scramble}")
     master = random.Random(rng_seed)
-    params = [
+    params = (
         (master.getrandbits(63), length, max_scramble)
         for length in range(1, max_scramble + 1)
         for _ in range(total // max_scramble)
-    ]
-    return _map_records(_cube_record, params, jobs)
+    )
+    return _map_records(_cube_record, params, total, jobs)
 
 
 def _sudoku_record(params) -> PuzzleRecord:
@@ -185,18 +196,18 @@ def build_sudoku_corpus(
     *,
     require_unique: bool = True,
     jobs: int = 1,
-) -> list[PuzzleRecord]:
+) -> Iterator[PuzzleRecord]:
     """Seeded puzzle/solution pairs with clue counts drawn uniformly from
     clue_range (inclusive)."""
     low, high = clue_range
     if not 17 <= low <= high <= 80:
         raise ValueError(f"clue range must satisfy 17 <= low <= high <= 80, got {clue_range}")
     master = random.Random(rng_seed)
-    params = [
+    params = (
         (master.getrandbits(63), master.randint(low, high), require_unique)
         for _ in range(total)
-    ]
-    return _map_records(_sudoku_record, params, jobs)
+    )
+    return _map_records(_sudoku_record, params, total, jobs)
 
 
 def _maze_record(params) -> PuzzleRecord:
@@ -216,7 +227,7 @@ def build_maze_corpus(
     sizes: list[tuple[int, int]] = ((4, 4), (5, 5)),
     *,
     jobs: int = 1,
-) -> list[PuzzleRecord]:
+) -> Iterator[PuzzleRecord]:
     """Unsolved/solved render pairs; sizes are cycled so each appears
     total/len(sizes) times (up to remainder)."""
     sizes = list(sizes)
@@ -228,25 +239,32 @@ def build_maze_corpus(
                 f"maze sizes must be within 2x2..{MAX_MAZE_SIDE}x{MAX_MAZE_SIDE}, got {width}x{height}"
             )
     master = random.Random(rng_seed)
-    params = [
-        (master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total)
-    ]
-    return _map_records(_maze_record, params, jobs)
+    params = ((master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total))
+    return _map_records(_maze_record, params, total, jobs)
 
 
-def ingest_sudoku_csv(path) -> tuple[list[PuzzleRecord], list[RowIssue]]:
+def ingest_sudoku_csv(path, issues: list[RowIssue] | None = None) -> Iterator[PuzzleRecord]:
     """Read a puzzle/solution CSV in the public 1M-sudoku layout (header
-    `quizzes,solutions`, 81-digit values). Rows whose solution is not a
-    consistent completion of the puzzle are rejected, not fatal; a line
-    the csv module cannot read is a ValueError that names it."""
-    records: list[PuzzleRecord] = []
-    issues: list[RowIssue] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
+    `quizzes,solutions`, 81-digit values). The file is opened and its
+    header checked now; the records follow lazily, one per accepted row.
+    Rows whose solution is not a consistent completion of the puzzle are
+    rejected, not fatal: each goes to `issues` as it is read. Rows are
+    numbered by physical line, the last line of a row that spans several;
+    a line the csv module cannot read is a ValueError that names it."""
+    rows = _ingest_rows(path, [] if issues is None else issues)
+    next(rows)  # runs up to the header check
+    return rows
+
+
+def _ingest_rows(path, issues: list[RowIssue]) -> Iterator[PuzzleRecord | None]:
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.DictReader(handle)
+        try:
             if reader.fieldnames is None or not {"quizzes", "solutions"} <= set(reader.fieldnames):
                 raise ValueError("CSV must have a header with quizzes and solutions columns")
-            for line, row in enumerate(reader, start=2):
+            yield None
+            for row in reader:
+                line = reader.reader.line_num
                 quiz_text = (row.get("quizzes") or "").strip()
                 solution_text = (row.get("solutions") or "").strip()
                 try:
@@ -264,12 +282,9 @@ def ingest_sudoku_csv(path) -> tuple[list[PuzzleRecord], list[RowIssue]]:
                 if _clue_changed(puzzle, solution):
                     issues.append(RowIssue(line, "solution conflicts with a puzzle clue"))
                     continue
-                records.append(
-                    PuzzleRecord("sudoku", quiz_text, solution_text, {"kind": "sudoku", "source_line": line})
-                )
-    except csv.Error as exc:  # such as a field over csv.field_size_limit()
-        raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
-    return records, issues
+                yield PuzzleRecord("sudoku", quiz_text, solution_text, {"kind": "sudoku", "source_line": line})
+        except csv.Error as exc:  # such as a field over csv.field_size_limit()
+            raise ValueError(f"line {reader.reader.line_num}: {exc}") from None
 
 
 def dedup_and_split(
@@ -291,21 +306,41 @@ def dedup_and_split(
     return CorpusSplit(train=unique[n_test:], test=unique[:n_test])
 
 
-def corpus_text(records: list[PuzzleRecord]) -> str:
-    return "\n".join(serialize_record(r) for r in records) + "\n" if records else ""
+def corpus_text(records: Iterable[PuzzleRecord]) -> str:
+    return "".join([serialize_record(r) + "\n" for r in records])
 
 
-def write_corpus(records: list[PuzzleRecord], path) -> None:
-    atomic_write_text(path, corpus_text(records))
+def write_corpus(records: Iterable[PuzzleRecord], path) -> None:
+    with atomic_writer(path) as out:
+        for record in records:
+            out.write(serialize_record(record) + "\n")
 
 
 # json.dumps(..., sort_keys=True) without a new encoder per row
 _encode_meta = json.JSONEncoder(sort_keys=True).encode
 
 
-def write_meta(records: list[PuzzleRecord], path) -> None:
-    lines = [_encode_meta(r.meta or {"kind": r.kind}) for r in records]
-    atomic_write_text(path, "\n".join(lines) + "\n" if lines else "")
+def _meta_line(record: PuzzleRecord) -> str:
+    return _encode_meta(record.meta or {"kind": record.kind}) + "\n"
+
+
+def write_meta(records: Iterable[PuzzleRecord], path) -> None:
+    """The JSON-lines sidecar on its own."""
+    with atomic_writer(path) as meta:
+        for record in records:
+            meta.write(_meta_line(record))
+
+
+def write_corpus_and_meta(records: Iterable[PuzzleRecord], path) -> int:
+    """Write each record's corpus line to `path` and its sidecar line to
+    `<path>.meta.jsonl` as the record arrives, and return the count. Both
+    files are written atomically: if `records` raises, neither changes."""
+    count = 0
+    with atomic_writer(f"{path}.meta.jsonl") as meta, atomic_writer(path) as out:
+        for count, record in enumerate(records, start=1):
+            out.write(serialize_record(record) + "\n")
+            meta.write(_meta_line(record))
+    return count
 
 
 _JSON_TYPE_NAMES = {str: "string", dict: "object"}

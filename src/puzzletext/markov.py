@@ -195,7 +195,19 @@ def load_model(path) -> CharMarkovModel:
     missing = [key for key in ("order", "alpha", "alphabet", "counts", "char_counts") if key not in payload]
     if missing:
         raise ValueError(f"model file lacks {', '.join(missing)}")
+    order, alpha, alphabet = payload["order"], payload["alpha"], payload["alphabet"]
+    if type(order) is not int or order < 0:
+        raise ValueError(f"model order must be an integer >= 0, got {order!r}")
+    if type(alpha) not in (int, float) or not 0 < alpha < math.inf:
+        raise ValueError(f"model alpha must be a finite number > 0, got {alpha!r}")
+    if not isinstance(alphabet, str):
+        raise ValueError(f"model alphabet must be a string, got a JSON {type(alphabet).__name__}")
     counts, char_counts = payload["counts"], payload["char_counts"]
     if not isinstance(counts, dict) or not all(isinstance(b, dict) for b in (char_counts, *counts.values())):
         raise ValueError("model counts and char_counts must hold JSON objects")
-    return CharMarkovModel(payload["order"], payload["alpha"], tuple(payload["alphabet"]), counts, char_counts)
+    ints_only = {int}.issuperset
+    if not all(ints_only(map(type, bucket.values())) for bucket in counts.values()):
+        raise ValueError("model counts must be integers")
+    if not ints_only(map(type, char_counts.values())):
+        raise ValueError("model char_counts must be integers")
+    return CharMarkovModel(order, alpha, tuple(alphabet), counts, char_counts)

@@ -50,7 +50,7 @@ def _report(criterion, elapsed, budget, detail=""):
 
 @pytest.fixture(scope="session")
 def cube_corpus():
-    records = corpus.build_cube_corpus(CUBE_CORPUS_SEED, CUBE_CORPUS_TOTAL, 5)
+    records = list(corpus.build_cube_corpus(CUBE_CORPUS_SEED, CUBE_CORPUS_TOTAL, 5))
     return records, corpus.corpus_text(records)
 
 

@@ -1,8 +1,10 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -153,6 +155,89 @@ def test_gen_data_error_leaves_no_file(tmp_path):
     assert not out.exists()
 
 
+# --- streaming writes ---
+
+
+def traced_peak(argv):
+    """The tracemalloc peak of one successful `run(argv)`, in bytes."""
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind, flags", [("maze", []), ("cube", ["--max-scramble", "5"])])
+def test_gen_memory_does_not_grow_with_total(tmp_path, capsys, kind, flags):
+    def peak(total):
+        return traced_peak(["gen", kind, "--seed", "1", "--total", str(total), *flags, "--out", str(tmp_path / "c.txt")])
+
+    peak(10)  # builds what a process keeps after its first run
+    small, large = peak(500), peak(4000)
+    assert large - small < 2**20, (small, large)
+
+
+def test_ingest_memory_does_not_grow_with_rows(tmp_path, capsys):
+    def peak(rows):
+        csv_path = tmp_path / f"games{rows}.csv"
+        csv_path.write_text("quizzes,solutions\n" + f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n" * rows,
+                            encoding="utf-8")
+        return traced_peak(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(tmp_path / "o.txt")])
+
+    peak(10)
+    small, large = peak(500), peak(4000)
+    assert large - small < 2**20, (small, large)
+
+
+REAL_MAZE_RECORD = corpus._maze_record
+
+
+def maze_record_failing_on_5x5(params):
+    """Module-level, so a worker pool can pickle it by name."""
+    if params[1] == 5:
+        raise RuntimeError("no 5x5 mazes today")
+    return REAL_MAZE_RECORD(params)
+
+
+def assert_left_as_before(tmp_path, files):
+    assert {p.name: p.read_text(encoding="utf-8") for p in tmp_path.iterdir() if p.name in files} == files
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+OLD_FILES = {"out.txt": "old corpus\n", "out.txt.meta.jsonl": '{"kind": "old"}\n'}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_gen_failing_midway_keeps_old_files(tmp_path, capsys, monkeypatch, jobs):
+    for name, text in OLD_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.setattr(corpus, "_maze_record", maze_record_failing_on_5x5)
+    sizes = ",".join(["4x4"] * 11 + ["5x5"])  # the twelfth record fails, after whole chunks at --jobs 2
+    argv = ["gen", "maze", "--seed", "1", "--total", "24", "--sizes", sizes, "--jobs", jobs,
+            "--out", str(tmp_path / "out.txt")]
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", "error: no 5x5 mazes today\n")
+    assert_left_as_before(tmp_path, OLD_FILES)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("text, message", [
+    (f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n",
+     "error: CSV must have a header with quizzes and solutions columns\n"),
+    (f"quizzes,solutions\n{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n123,4\n" + "1" * 131_073 + ",2\n",
+     "error: line 4: field larger than field limit (131072)\n"),
+])
+def test_ingest_failing_keeps_old_files(tmp_path, capsys, text, message):
+    for name, old in OLD_FILES.items():
+        (tmp_path / name).write_text(old, encoding="utf-8")
+    csv_path = tmp_path / "games.csv"
+    csv_path.write_text(text, encoding="utf-8")
+    assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(tmp_path / "out.txt")]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert_left_as_before(tmp_path, OLD_FILES)
+
+
 # --- solve / render ---
 
 
@@ -228,6 +313,20 @@ def test_ingest_sudoku_csv_command(tmp_path, capsys):
     out = tmp_path / "sudoku.txt"
     assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(out)]) == 0
     assert len(corpus.read_corpus(out)) == 1
+
+
+def test_ingest_numbers_rows_by_physical_line(tmp_path, capsys):
+    csv_path = tmp_path / "games.csv"
+    csv_path.write_text(
+        f'quizzes,solutions\n"{SAMPLE_SUDOKU_PUZZLE}\n",{SAMPLE_SUDOKU_SOLUTION}\n123,456\n\n'
+        f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sudoku.txt"
+    assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("rejected line 4: ") and err[1:] == [f"wrote 2 records to {out}"]
+    assert [m["source_line"] for m in corpus.read_meta(f"{out}.meta.jsonl")] == [3, 6]
 
 
 # --- train / sample / score ---

@@ -19,6 +19,8 @@ from puzzletext.corpus import (
     serialize_record,
     split_framed_stream,
     write_corpus,
+    write_corpus_and_meta,
+    write_meta,
 )
 from puzzletext.cube import ALL_MOVES, SOLVED_FACELETS, apply_formula, apply_move, is_solved, parse_formula
 from puzzletext.cube import decode_facelets
@@ -44,9 +46,9 @@ def test_sudoku_record_framing_bytes():
 
 def test_round_trip_all_kinds():
     records = (
-        build_cube_corpus(3, 5, 5)
-        + build_sudoku_corpus(4, 2, (30, 34))
-        + build_maze_corpus(5, 2, [(4, 4)])
+        list(build_cube_corpus(3, 5, 5))
+        + list(build_sudoku_corpus(4, 2, (30, 34)))
+        + list(build_maze_corpus(5, 2, [(4, 4)]))
     )
     for record in records:
         text = serialize_record(record)
@@ -90,7 +92,7 @@ def test_parse_record_sudoku_prompt_is_ascii_digits_only():
 
 
 def test_cube_corpus_counts_and_self_consistency():
-    records = build_cube_corpus(7, 25, 5)
+    records = list(build_cube_corpus(7, 25, 5))
     assert len(records) == 25
     by_length = {}
     for record in records:
@@ -146,7 +148,7 @@ def test_sudoku_corpus_deterministic():
 
 
 def test_maze_corpus_sizes_cycle_and_paths_validate():
-    records = build_maze_corpus(8, 6, [(4, 4), (5, 5)])
+    records = list(build_maze_corpus(8, 6, [(4, 4), (5, 5)]))
     sizes = [(r.meta["width"], r.meta["height"]) for r in records]
     assert sizes.count((4, 4)) == 3 and sizes.count((5, 5)) == 3
     for record in records:
@@ -222,7 +224,8 @@ def test_ingest_sudoku_csv(tmp_path):
         f"{SAMPLE_SUDOKU_PUZZLE},{bad_solution}\n",
         encoding="utf-8",
     )
-    records, issues = ingest_sudoku_csv(csv_path)
+    issues = []
+    records = list(ingest_sudoku_csv(csv_path, issues))
     assert len(records) == 1
     assert records[0].prompt == SAMPLE_SUDOKU_PUZZLE
     assert [issue.line for issue in issues] == [3, 4]
@@ -246,16 +249,29 @@ def test_ingest_requires_header(tmp_path):
 
 def test_write_read_corpus_round_trip(tmp_path):
     records = (
-        build_cube_corpus(13, 10, 5)
-        + build_maze_corpus(14, 2, [(4, 4)])
-        + build_sudoku_corpus(12, 2, (30, 34))
-        + build_maze_corpus(11, 1, [(4, 4)])
+        list(build_cube_corpus(13, 10, 5))
+        + list(build_maze_corpus(14, 2, [(4, 4)]))
+        + list(build_sudoku_corpus(12, 2, (30, 34)))
+        + list(build_maze_corpus(11, 1, [(4, 4)]))
     )
     path = tmp_path / "corpus.txt"
     write_corpus(records, path)
     assert read_corpus(path) == records
     spaced = "\n\n" + "\n\n\n".join(serialize_record(r) for r in records) + "\n\n"
     assert parse_corpus_text(spaced) == records
+
+
+def test_one_pass_writer_matches_the_separate_writers(tmp_path):
+    records = list(build_cube_corpus(17, 5, 5)) + list(build_maze_corpus(18, 2, [(4, 4)]))
+    records.append(PuzzleRecord("sudoku", SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION))  # empty meta
+    assert write_corpus_and_meta(iter(records), tmp_path / "one.txt") == 8
+    write_corpus(records, tmp_path / "two.txt")
+    write_meta(records, tmp_path / "two.txt.meta.jsonl")
+    for name in ("{}.txt", "{}.txt.meta.jsonl"):
+        assert (tmp_path / name.format("one")).read_bytes() == (tmp_path / name.format("two")).read_bytes()
+    assert (tmp_path / "one.txt").read_text(encoding="utf-8") == corpus_text(records)
+    assert write_corpus_and_meta([], tmp_path / "empty.txt") == 0
+    assert (tmp_path / "empty.txt").read_bytes() == (tmp_path / "empty.txt.meta.jsonl").read_bytes() == b""
 
 
 def test_parse_corpus_text_rejects_unterminated():

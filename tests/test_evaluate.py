@@ -325,7 +325,7 @@ def test_report_text_and_dict():
 
 
 def test_ingest_scores_a_corpus_against_itself(tmp_path):
-    records = corpus.build_cube_corpus(17, 20, 5)
+    records = list(corpus.build_cube_corpus(17, 20, 5))
     prompts = tmp_path / "prompts.txt"
     outputs = tmp_path / "outputs.txt"
     prompts.write_text("\n".join(r.prompt for r in records) + "\n", encoding="utf-8")
@@ -346,7 +346,7 @@ def test_ingest_line_count_mismatch(tmp_path):
 
 
 def test_ingest_isolates_garbage_lines(tmp_path):
-    records = corpus.build_cube_corpus(19, 5, 5)
+    records = list(corpus.build_cube_corpus(19, 5, 5))
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
     prompts.write_text("\n".join(r.prompt for r in records) + "\n", encoding="utf-8")
@@ -362,7 +362,7 @@ def test_ingest_isolates_garbage_lines(tmp_path):
 def test_ingest_skips_bad_prompts(tmp_path):
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
-    prompts.write_text("U" * 54 + "\n" + corpus.build_cube_corpus(1, 1, 1)[0].prompt + "\n", encoding="utf-8")
+    prompts.write_text("U" * 54 + "\n" + list(corpus.build_cube_corpus(1, 1, 1))[0].prompt + "\n", encoding="utf-8")
     outputs.write_text("R\nR\n", encoding="utf-8")
     verdicts, issues = ingest_external_outputs(prompts, outputs, "cube")
     assert len(verdicts) == 1
@@ -383,7 +383,7 @@ def test_ingest_maze_stream(tmp_path):
 def test_carriage_return_stays_in_its_line(tmp_path):
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
-    cubes = corpus.build_cube_corpus(5, 3, 1)
+    cubes = list(corpus.build_cube_corpus(5, 3, 1))
     prompts.write_bytes("".join(r.prompt + "\n" for r in cubes).encode())
     outputs.write_bytes(f"{cubes[0].response}\nR\rR'\n{cubes[2].response}\n".encode())
     verdicts, _ = ingest_external_outputs(prompts, outputs, "cube")
@@ -424,7 +424,7 @@ def test_ingest_maze_jsonl_rejects_non_string_line(tmp_path):
 
 
 def test_sudoku_corpus_scores_itself_correct(tmp_path):
-    records = corpus.build_sudoku_corpus(33, 5, (30, 40))
+    records = list(corpus.build_sudoku_corpus(33, 5, (30, 40)))
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
     prompts.write_text("\n".join(r.prompt for r in records) + "\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import json
 import math
 import random
 from collections import Counter
@@ -250,6 +251,25 @@ def test_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": 99}', encoding="utf-8")
     with pytest.raises(ValueError):
         load_model(path)
+
+
+_GOOD_MODEL = {"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts": {"a": {"b": 1}},
+               "char_counts": {"a": 1, "b": 1}}
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("order", "x", "model order must be an integer >= 0, got 'x'"),
+    ("alpha", "0.1", "model alpha must be a finite number > 0, got '0.1'"),
+    ("alphabet", ["a", "b"], "model alphabet must be a string, got a JSON list"),
+    ("counts", {"a": {"b": 1.5}}, "model counts must be integers"),
+    ("char_counts", {"a": "1", "b": 1}, "model char_counts must be integers"),
+])
+def test_load_rejects_a_field_of_the_wrong_type(tmp_path, field, value, message):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**_GOOD_MODEL, field: value}), encoding="utf-8")
+    with pytest.raises(ValueError) as excinfo:
+        load_model(path)
+    assert str(excinfo.value) == message
 
 
 # --- pipeline connectivity ---

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from puzzletext._util import atomic_write_text
+from puzzletext._util import atomic_write_text, atomic_writer
 
 
 def test_write_creates_file_with_plain_open_mode(tmp_path):
@@ -31,3 +31,14 @@ def test_write_does_not_touch_a_stale_fixed_name_temp_file(tmp_path):
     atomic_write_text(target, "mine\n")
     assert stale.read_text(encoding="utf-8") == "another writer\n"
     assert target.read_text(encoding="utf-8") == "mine\n"
+
+
+def test_writer_failing_midway_keeps_old_contents_and_leaves_no_temp_file(tmp_path):
+    target = tmp_path / "out.txt"
+    atomic_write_text(target, "old\n")
+    with pytest.raises(RuntimeError, match="stream broke"):
+        with atomic_writer(target) as handle:
+            handle.write("new line\n" * 10_000)  # past the buffer, so the temp file has bytes
+            raise RuntimeError("stream broke")
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
