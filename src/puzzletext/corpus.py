@@ -23,6 +23,7 @@ import json
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from string import whitespace
 
 from ._util import atomic_writer, read_text
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
@@ -348,10 +349,11 @@ _JSON_TYPE_NAMES = {str: "string", dict: "object"}
 
 def read_json_lines(path, expected: type) -> list:
     """The value on each non-blank line of a JSON-lines file; each must be
-    an `expected` (str or dict). Errors name the file line."""
+    an `expected` (str or dict). A blank line holds only ASCII whitespace,
+    so any other line reaches json.loads. Errors name the file line."""
     values = []
     for line, row in enumerate(read_text(path).split("\n"), start=1):
-        if row.strip():
+        if row.strip(whitespace):
             try:
                 value = json.loads(row)
             except json.JSONDecodeError as exc:
@@ -378,7 +380,8 @@ def read_corpus(path) -> list[PuzzleRecord]:
 def split_framed_stream(text: str) -> list[str]:
     """Cut a raw model-output stream into record-sized chunks at lines that
     open with the start token. Content before the first marker becomes its
-    own chunk so broken output still yields one verdict per chunk."""
+    own chunk so broken output still yields one verdict per chunk. Only a
+    chunk of ASCII whitespace alone is dropped."""
     first, *rest = text.split("\n" + START_TOKEN)
     texts = [first.strip("\n")] + [(START_TOKEN + chunk).strip("\n") for chunk in rest]
-    return [t for t in texts if t.strip()]
+    return [t for t in texts if t.strip(whitespace)]

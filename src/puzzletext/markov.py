@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable
@@ -22,6 +23,8 @@ from ._util import atomic_write_text, read_text
 from .corpus import DEFAULT_MAX_CHARS, END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
+
+_CHUNK_CHARS = 1 << 16  # train's line windows are counted per chunk of about this many characters
 
 
 class EmptyCorpusError(ValueError):
@@ -51,14 +54,26 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
     # A line window is one line with its "\n" plus the `order` characters after
     # it: it holds every (order+1)-gram that starts in the line. Repeated lines
     # in a corpus repeat their windows, so each distinct window is split into
-    # grams once and its grams are weighted by how often it occurs.
+    # grams once and its grams are weighted by how often it occurs. The windows
+    # are cut and counted in C, one chunk of whole lines at a time: findall
+    # returns each newline-ended line's window, and the matches past the chunk
+    # (lines ending within `order` characters of it) are dropped. One findall
+    # over the whole text would hold every line's window at once.
+    size = len(corpus_text)
+    reach = min(order, size)  # a repeat count within re's limit for any order
+    line_windows = re.compile(rf"(?=([^\n]*\n.{{0,{reach}}}))[^\n]*\n", re.DOTALL).findall
     windows: Counter[str] = Counter()
-    find = corpus_text.find
     start = 0
-    while start < len(corpus_text):
-        end = find("\n", start) + 1 or len(corpus_text)
-        windows[corpus_text[start: end + order]] += 1
+    while True:
+        end = corpus_text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or corpus_text.find("\n", start) + 1
+        if not end:
+            break
+        found = line_windows(corpus_text, start, end + reach)
+        del found[corpus_text.count("\n", start, end):]
+        windows.update(found)
         start = end
+    if start < size:  # the last line has no "\n"; its window is the rest
+        windows[corpus_text[start:]] += 1
     grams: Counter[str] = Counter()
     for window, times in windows.items():
         for i in range(len(window) - order):
@@ -66,7 +81,7 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
     counts: dict[str, dict[str, int]] = {}
     # Every position before the last `order` starts exactly one gram, so the
     # grams' first characters count those positions; the tail is counted here.
-    char_counts = Counter(corpus_text[max(len(corpus_text) - order, 0):])
+    char_counts = Counter(corpus_text[max(size - order, 0):])
     for gram, times in grams.items():
         counts.setdefault(gram[:-1], {})[gram[-1]] = times
         char_counts[gram[0]] += times

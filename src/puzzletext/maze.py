@@ -29,11 +29,8 @@ _STEPS = {
     LEFT: (-1, 0, WEST, EAST),
 }
 
-# token -> (line, column) offset in the render from the cell before the one
-# it marks, and the token as written there; the entry mark does not move
-_MARKS = {ENTRY_MARK: (0, 0, ENTRY_MARK.center(3))} | {
-    token: (2 * dy, 4 * dx, token.center(3)) for token, (dx, dy, _, _) in _STEPS.items()
-}
+# token -> its step and wall bit, and the token as written in the cell it enters
+_MARKS = {token: (dx, dy, bit, token.center(3)) for token, (dx, dy, bit, _) in _STEPS.items()}
 
 
 class MazeSizeError(ValueError):
@@ -284,18 +281,26 @@ def _render_lines(maze: Maze) -> list[str]:
 
 def _mark_lines(maze: Maze, lines: list[str], path: MazePath) -> None:
     """Write the entry mark and the path's arrows into the maze's render
-    lines; InvalidPathError, before any write, unless the path is valid."""
-    verdict = validate_path(maze, path)
-    if not verdict.ok:
-        raise InvalidPathError(f"path is not valid for this maze: {verdict.kind}")
+    lines, checking each step as it is written. Unless the path is valid,
+    InvalidPathError names the kind validate_path reports, and `lines` is
+    left partly marked."""
+    width, height, walls = maze.width, maze.height, maze.walls
     x, y = maze.entry
-    row, col = 2 * y + 1, 4 * x + 1  # where the entry's interior starts
-    for token in (ENTRY_MARK, *path):
-        drow, dcol, mark = _MARKS[token]
-        row += drow
-        col += dcol
-        line = lines[row]
-        lines[row] = line[:col] + mark + line[col + 3:]
+    line = lines[2 * y + 1]
+    lines[2 * y + 1] = line[: 4 * x + 1] + ENTRY_MARK.center(3) + line[4 * x + 4:]
+    for token in path:
+        step = _MARKS.get(token)  # an unknown token counts as a wall
+        if step is None or walls[y][x] & step[2]:
+            raise InvalidPathError("path is not valid for this maze: wall_crossed")
+        dx, dy, _, mark = step
+        x += dx
+        y += dy
+        if not (0 <= x < width and 0 <= y < height):
+            raise InvalidPathError("path is not valid for this maze: wall_crossed")
+        line = lines[2 * y + 1]
+        lines[2 * y + 1] = line[: 4 * x + 1] + mark + line[4 * x + 4:]
+    if (x, y) != maze.exit:
+        raise InvalidPathError("path is not valid for this maze: wrong_endpoint")
 
 
 def _join_lines(lines: list[str]) -> str:

@@ -450,6 +450,16 @@ def test_score_maze_jsonl_malformed_line_names_file_line(tmp_path, capsys):
     assert captured.err.startswith("error: line 2: Expecting property name")
 
 
+@pytest.mark.parametrize("blank", ["\x1c", "\u00a0", "\u3000"])
+def test_score_maze_jsonl_non_ascii_whitespace_line_is_data_error(tmp_path, capsys, blank):
+    samples = tmp_path / "samples.jsonl"
+    samples.write_text(f'"a"\n \t\n"b"\n{blank}\n', encoding="utf-8")
+    assert run(["score", "maze", "--outputs", str(samples), "--jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: line 4: Expecting value")
+
+
 def test_malformed_model_and_csv_files_are_data_errors(tmp_path, capsys):
     models = {
         '[1, 2]': "error: model file holds a JSON list, not an object",

@@ -406,6 +406,19 @@ def test_carriage_return_stays_in_its_line(tmp_path):
     assert [v.reason for v in verdicts] == ["framing"] * 3
 
 
+@pytest.mark.parametrize("blank", ["\u00a0", "\u3000", "\x1c", " \u00a0\t"])
+def test_non_ascii_whitespace_chunk_is_scored_invalid(tmp_path, blank):
+    records = corpus.corpus_text(corpus.build_maze_corpus(27, 2, [(4, 4)]))
+    outputs = tmp_path / "samples.txt"
+    outputs.write_text(f"{blank}\n{records}\n{blank}\n", encoding="utf-8")
+    verdicts, _ = ingest_external_outputs(None, outputs, "maze")
+    assert [(v.status, v.reason) for v in verdicts] == [
+        ("invalid", "framing"), ("correct", None), ("invalid", "framing")]
+    outputs.write_text(f" \t\x0b\x0c\r\n{records}", encoding="utf-8")
+    verdicts, _ = ingest_external_outputs(None, outputs, "maze")
+    assert [v.status for v in verdicts] == ["correct"] * 2
+
+
 def test_ingest_maze_jsonl(tmp_path):
     records = corpus.build_maze_corpus(27, 3, [(4, 4)])
     outputs = tmp_path / "samples.jsonl"

@@ -9,6 +9,7 @@ import pytest
 
 from puzzletext import corpus
 from puzzletext.markov import (
+    _CHUNK_CHARS,
     CharMarkovModel,
     EmptyCorpusError,
     TextTooShortError,
@@ -91,6 +92,43 @@ def test_train_matches_per_position_counts(name, order):
     assert model.counts == counts
     assert model.char_counts == char_counts
     assert model.alphabet == tuple(sorted(char_counts))
+
+
+def straddling_lines(seed, total):
+    """Lines of 0 to 150 characters, so that line breaks fall at varied
+    distances on both sides of each chunk edge; at order 200 every window
+    at a chunk's end reaches past the line after it."""
+    rng = random.Random(seed)
+    lines = []
+    while sum(map(len, lines)) < total:
+        lines.append("".join(rng.choice("ab \r") for _ in range(rng.randint(0, 150))) + "\n")
+    return "".join(lines)
+
+
+CHUNK_EDGE_TEXTS = {
+    "straddling_lines": straddling_lines(1, 3 * _CHUNK_CHARS),
+    "straddling_no_final_newline": straddling_lines(2, 3 * _CHUNK_CHARS) + "tail",
+    "line_longer_than_chunk": "ab\n" + "y" * (_CHUNK_CHARS + 7) + "\n" + "cd\n" * 9 + "z" * (2 * _CHUNK_CHARS),
+    "cr_only_breaks": "ab\rcde\r\r" * (_CHUNK_CHARS // 4),
+}
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 200])
+@pytest.mark.parametrize("name", CHUNK_EDGE_TEXTS)
+def test_train_matches_per_position_counts_across_chunk_edges(name, order):
+    text = CHUNK_EDGE_TEXTS[name]
+    model = train(text, order, 0.1)
+    assert (model.counts, model.char_counts) == naive_train(text, order)
+
+
+@pytest.mark.parametrize("beyond", [1, 10**12])
+@pytest.mark.parametrize("name", [name for name in TRAIN_TEXTS if len(TRAIN_TEXTS[name]) < 100])
+def test_train_order_beyond_text_length(name, beyond):
+    # an order past re's repeat limit must count like any other
+    text = TRAIN_TEXTS[name]
+    order = len(text) + beyond
+    model = train(text, order, 0.1)
+    assert (model.counts, model.char_counts) == naive_train(text, order) == ({}, dict(Counter(text)))
 
 
 # --- probabilities ---

@@ -368,6 +368,53 @@ def test_render_pair_rejects_invalid_path():
             render_maze_pair(maze, bad)
 
 
+def test_marker_names_the_kind_validate_path_reports():
+    maze, path = generate_solved_maze(6, 5, 5)
+    open_maze = Maze(3, 3, ((0, 0, 0),) * 3)  # no walls at all: only the grid's edge stops a step
+    middle = len(path) // 2
+
+    def into_wall(prefix):
+        """`prefix` and then a step into a wall of the cell it reaches."""
+        return next(prefix + (token,) for token in (UP, RIGHT, DOWN, LEFT)
+                    if validate_path(maze, prefix + (token,)).step_index == len(prefix))
+
+    cases = [
+        (maze, path[:2] + ("??",) + path[3:], "wall_crossed"),  # an unknown token
+        (open_maze, (UP, RIGHT, RIGHT), "wall_crossed"),  # the first step leaves the grid
+        (maze, into_wall(path[:middle]) + path[middle + 1:], "wall_crossed"),
+        (maze, into_wall(path[:-1]), "wall_crossed"),
+        (maze, path + (DOWN,), "wall_crossed"),  # out through the exit opening
+        (maze, path[:-1], "wrong_endpoint"),
+        (maze, (), "wrong_endpoint"),
+    ]
+    expected = {m: render_maze_pair(m, solve_maze(m)) for m in (maze, open_maze)}
+    for m, bad, kind in cases:
+        assert validate_path(m, bad).kind == kind
+        for render in (render_maze, render_maze_pair):
+            with pytest.raises(InvalidPathError, match=f"^path is not valid for this maze: {kind}$"):
+                render(m, bad)
+            # a failed call leaves nothing behind in the shared row cache
+            assert render_maze_pair(m, solve_maze(m)) == expected[m]
+            assert render_maze(m, solve_maze(m)) == expected[m][1]
+
+
+def test_marker_agrees_with_validate_path_on_random_walks():
+    rng = random.Random(17)
+    for seed in range(300):
+        maze, path = generate_solved_maze(seed, 2 + seed % 5, 2 + seed % 4)
+        if seed % 2:
+            maze = knock_out_walls(maze, rng, 4)
+        # a prefix of the solution and up to five random steps, which may stray or hold an unknown token
+        walk = path[: rng.randrange(len(path) + 1)] + tuple(
+            rng.choice((UP, RIGHT, DOWN, LEFT) * 2 + ("?",)) for _ in range(rng.randrange(6)))
+        verdict = validate_path(maze, walk)
+        if verdict.ok:
+            assert render_maze(maze, walk).count("**") == 1
+        else:
+            with pytest.raises(InvalidPathError, match=f": {verdict.kind}$"):
+                render_maze_pair(maze, walk)
+
+
 def test_parse_trailing_whitespace_tolerated():
     maze = generate_maze(11, 4, 4)
     text = render_maze(maze)

@@ -121,11 +121,11 @@ def reference_split_framed_stream(text):
     if current:
         chunks.append(current)
     texts = ["\n".join(chunk).strip("\n") for chunk in chunks]
-    return [t for t in texts if t.strip()]
+    return [t for t in texts if t.strip(" \t\n\r\x0b\x0c")]
 
 
 @FAST
-@given(st.lists(st.sampled_from(["\n", " ", "x", "\r", START_TOKEN]), max_size=40).map("".join))
+@given(st.lists(st.sampled_from(["\n", " ", "x", "\r", "\x0b", "\u00a0", START_TOKEN]), max_size=40).map("".join))
 def test_split_framed_stream_matches_line_loop(text):
     assert split_framed_stream(text) == reference_split_framed_stream(text)
 
