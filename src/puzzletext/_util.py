@@ -2,14 +2,53 @@
 from __future__ import annotations
 
 import os
+from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
+
+PIECE_CHARS = 1 << 16  # read_pieces yields pieces of at most this many characters
 
 
 def read_text(path) -> str:
     """The file as UTF-8 with LF as the only line break; a CR stays in its line."""
     with open(path, encoding="utf-8", newline="") as handle:
         return handle.read()
+
+
+def read_pieces(source) -> Iterator[str]:
+    """The text of `source`, a path or an open text handle, in pieces of at
+    most PIECE_CHARS characters that join to what one read() returns. A path
+    is opened as read_text opens it, so a CR stays in its line and a
+    character is never cut between pieces."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, encoding="utf-8", newline="") as handle:
+            yield from iter(partial(handle.read, PIECE_CHARS), "")
+    else:
+        yield from iter(partial(source.read, PIECE_CHARS), "")
+
+
+class Counted:
+    """One pass over `items` that adds up `size(item)` (1 by default) as it
+    goes. len() is that sum so far: once the pass is over, it is the len()
+    of the list (or, with size=len over text pieces, of the text) that the
+    stream stands in for, as a caller that measures its input expects."""
+
+    __slots__ = ("_items", "_size", "_total")
+
+    def __init__(self, items: Iterable, size: Callable[..., int] | None = None):
+        self._items = items
+        self._size = size
+        self._total = 0
+
+    def __iter__(self) -> Iterator:
+        size = self._size
+        for item in self._items:
+            self._total += 1 if size is None else size(item)
+            yield item
+
+    def __len__(self) -> int:
+        return self._total
 
 
 @contextmanager

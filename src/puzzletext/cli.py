@@ -14,9 +14,10 @@ import argparse
 import json
 import math
 import sys
+from string import whitespace
 
 from . import __version__
-from ._util import atomic_write_text, read_text
+from ._util import Counted, atomic_write_text, read_pieces, read_text
 from . import corpus as corpus_mod
 from . import evaluate as evaluate_mod
 from . import markov as markov_mod
@@ -70,7 +71,7 @@ def _parse_sizes(text: str) -> list[tuple[int, int]]:
     each side written in ASCII digits."""
     sizes = []
     for part in text.split(","):
-        w, _, h = part.strip().partition("x")
+        w, _, h = part.strip(whitespace).partition("x")
         if not all(side.isascii() and side.isdigit() for side in (w, h)):
             raise argparse.ArgumentTypeError(f"invalid maze size {part!r} (expected WxH)")
         sizes.append((int(w), int(h)))
@@ -94,7 +95,8 @@ def _cmd_ingest_sudoku_csv(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    records = corpus_mod.read_corpus(args.in_path)
+    chunks = corpus_mod.split_framed_stream(read_pieces(args.in_path))
+    records = Counted(map(corpus_mod.parse_record, chunks))
     split = corpus_mod.dedup_and_split(records, args.seed, args.test_fraction)
     corpus_mod.write_corpus(split.train, args.train_out)
     corpus_mod.write_corpus(split.test, args.test_out)
@@ -124,6 +126,11 @@ def _read_text(path: str) -> str:
     return read_text(path)
 
 
+def _read_pieces(path: str) -> Counted:
+    """The text of `path` (stdin for "-") in pieces; len() is the characters read."""
+    return Counted(read_pieces(sys.stdin if path == "-" else path), len)
+
+
 def _cmd_solve_maze(args) -> int:
     maze, _ = maze_mod.parse_maze(_read_text(args.in_path))
     path = maze_mod.solve_maze(maze, args.strategy)
@@ -151,7 +158,7 @@ def _cmd_render_maze(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    model = markov_mod.train(_read_text(args.corpus), args.order, args.alpha)
+    model = markov_mod.train(_read_pieces(args.corpus), args.order, args.alpha)
     markov_mod.save_model(model, args.out)
     print(
         f"trained order-{args.order} model on {len(model.counts)} contexts -> {args.out}",

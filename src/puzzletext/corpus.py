@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from string import whitespace
 
-from ._util import atomic_writer, read_text
+from ._util import atomic_writer, read_pieces, read_text
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
 from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
@@ -266,8 +266,8 @@ def _ingest_rows(path, issues: list[RowIssue]) -> Iterator[PuzzleRecord | None]:
             yield None
             for row in reader:
                 line = reader.reader.line_num
-                quiz_text = (row.get("quizzes") or "").strip()
-                solution_text = (row.get("solutions") or "").strip()
+                quiz_text = (row.get("quizzes") or "").strip(whitespace)
+                solution_text = (row.get("solutions") or "").strip(whitespace)
                 try:
                     puzzle = parse_grid81(quiz_text)
                     solution = parse_grid81(solution_text)
@@ -289,10 +289,11 @@ def _ingest_rows(path, issues: list[RowIssue]) -> Iterator[PuzzleRecord | None]:
 
 
 def dedup_and_split(
-    records: list[PuzzleRecord], rng_seed: int, test_fraction: float
+    records: Iterable[PuzzleRecord], rng_seed: int, test_fraction: float
 ) -> CorpusSplit:
     """Drop duplicate puzzle states (first occurrence wins), shuffle by
-    seed, and give round(test_fraction * n) records to the test side."""
+    seed, and give round(test_fraction * n) records to the test side. The
+    records are read once, so a lazy stream of them is never held whole."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must be in (0, 1)")
     seen = set()
@@ -369,19 +370,40 @@ def read_meta(path) -> list[dict]:
     return read_json_lines(path, dict)
 
 
-def parse_corpus_text(text: str) -> list[PuzzleRecord]:
+def parse_corpus_text(text: str | Iterable[str]) -> list[PuzzleRecord]:
     return [parse_record(chunk) for chunk in split_framed_stream(text)]
 
 
 def read_corpus(path) -> list[PuzzleRecord]:
-    return parse_corpus_text(read_text(path))
+    return parse_corpus_text(read_pieces(path))
 
 
-def split_framed_stream(text: str) -> list[str]:
-    """Cut a raw model-output stream into record-sized chunks at lines that
-    open with the start token. Content before the first marker becomes its
-    own chunk so broken output still yields one verdict per chunk. Only a
-    chunk of ASCII whitespace alone is dropped."""
-    first, *rest = text.split("\n" + START_TOKEN)
-    texts = [first.strip("\n")] + [(START_TOKEN + chunk).strip("\n") for chunk in rest]
-    return [t for t in texts if t.strip(whitespace)]
+def split_framed_stream(stream: str | Iterable[str]) -> Iterator[str]:
+    """Cut a raw model-output stream, a str or its text in pieces, into
+    record-sized chunks at lines that open with the start token, yielding
+    each chunk once the next one starts. Content before the first marker
+    becomes its own chunk so broken output still yields one verdict per
+    chunk. Only a chunk of ASCII whitespace alone is dropped."""
+    head = ""  # what a chunk's text lacks: nothing for the first, the start token after
+    for chunk in _split_pieces(stream, "\n" + START_TOKEN):
+        chunk = (head + chunk).strip("\n")
+        head = START_TOKEN
+        if chunk.strip(whitespace):
+            yield chunk
+
+
+def _split_pieces(stream: str | Iterable[str], separator: str) -> Iterator[str]:
+    """What "".join(stream).split(separator) returns, one part at a time:
+    the text after the last separator found is carried into the next piece."""
+    held: list[str] = []  # the text after the last separator found, in pieces
+    held_chars = rest_chars = 0
+    for piece in (stream,) if isinstance(stream, str) else stream:
+        held.append(piece)
+        held_chars += len(piece)
+        if held_chars < 2 * rest_chars:
+            continue  # a part longer than the pieces: join once it has doubled
+        *parts, rest = "".join(held).split(separator)
+        yield from parts
+        held = [rest]
+        held_chars = rest_chars = len(rest)
+    yield from "".join(held).split(separator)

@@ -15,7 +15,7 @@ import random
 import re
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -44,9 +44,11 @@ class CharMarkovModel:
     char_counts: dict[str, int]  # backoff distribution
 
 
-def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
-    if not corpus_text:
-        raise EmptyCorpusError("training corpus is empty")
+def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovModel:
+    """Count the corpus, a str or its text in pieces (as read_pieces yields
+    them). A line is counted once the `order` characters after it have
+    arrived, so between pieces only the uncounted tail is kept: the last
+    `order` characters, back to the start of the line they begin in."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if not 0 < alpha < math.inf:
@@ -54,26 +56,25 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
     # A line window is one line with its "\n" plus the `order` characters after
     # it: it holds every (order+1)-gram that starts in the line. Repeated lines
     # in a corpus repeat their windows, so each distinct window is split into
-    # grams once and its grams are weighted by how often it occurs. The windows
-    # are cut and counted in C, one chunk of whole lines at a time: findall
-    # returns each newline-ended line's window, and the matches past the chunk
-    # (lines ending within `order` characters of it) are dropped. One findall
-    # over the whole text would hold every line's window at once.
-    size = len(corpus_text)
-    reach = min(order, size)  # a repeat count within re's limit for any order
-    line_windows = re.compile(rf"(?=([^\n]*\n.{{0,{reach}}}))[^\n]*\n", re.DOTALL).findall
+    # grams once and its grams are weighted by how often it occurs.
     windows: Counter[str] = Counter()
-    start = 0
-    while True:
-        end = corpus_text.rfind("\n", start, start + _CHUNK_CHARS) + 1 or corpus_text.find("\n", start) + 1
-        if not end:
-            break
-        found = line_windows(corpus_text, start, end + reach)
-        del found[corpus_text.count("\n", start, end):]
-        windows.update(found)
-        start = end
-    if start < size:  # the last line has no "\n"; its window is the rest
-        windows[corpus_text[start:]] += 1
+    held: list[str] = []  # the text not yet counted, from a line start on
+    held_chars = rest_chars = 0
+    for piece in (corpus,) if isinstance(corpus, str) else corpus:
+        held.append(piece)
+        held_chars += len(piece)
+        if held_chars < 2 * rest_chars:
+            continue  # a line longer than the pieces: join once it has doubled
+        text = "".join(held)
+        rest = text[_count_windows(text, order, len(text) - order, windows):]
+        held = [rest]
+        held_chars = rest_chars = len(rest)
+    text = "".join(held)
+    start = _count_windows(text, order, len(text), windows)
+    if start < len(text):  # the last line has no "\n"; its window is the rest
+        windows[text[start:]] += 1
+    if not windows:
+        raise EmptyCorpusError("training corpus is empty")
     grams: Counter[str] = Counter()
     for window, times in windows.items():
         for i in range(len(window) - order):
@@ -81,7 +82,8 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
     counts: dict[str, dict[str, int]] = {}
     # Every position before the last `order` starts exactly one gram, so the
     # grams' first characters count those positions; the tail is counted here.
-    char_counts = Counter(corpus_text[max(size - order, 0):])
+    # `text` holds at least the corpus's last `order` characters, or all of it.
+    char_counts = Counter(text[max(len(text) - order, 0):])
     for gram, times in grams.items():
         counts.setdefault(gram[:-1], {})[gram[-1]] = times
         char_counts[gram[0]] += times
@@ -92,6 +94,28 @@ def train(corpus_text: str, order: int, alpha: float) -> CharMarkovModel:
         counts=counts,
         char_counts=dict(char_counts),
     )
+
+
+def _count_windows(text: str, order: int, limit: int, windows: Counter[str]) -> int:
+    """Add the window of each line of `text` whose "\n" lies before `limit`
+    to `windows`, and return where the first line left uncounted starts.
+    The windows are cut and counted in C, one chunk of whole lines at a time:
+    findall returns each newline-ended line's window, and the matches past
+    the chunk (lines ending within `order` characters of it) are dropped.
+    One findall over the whole text would hold every line's window at once."""
+    if limit <= 0:
+        return 0
+    reach = min(order, len(text))  # a repeat count within re's limit for any order
+    line_windows = re.compile(rf"(?=([^\n]*\n.{{0,{reach}}}))[^\n]*\n", re.DOTALL).findall
+    start = 0
+    while True:
+        end = text.rfind("\n", start, min(start + _CHUNK_CHARS, limit)) + 1 or text.find("\n", start, limit) + 1
+        if not end:
+            return start
+        found = line_windows(text, start, end + reach)
+        del found[text.count("\n", start, end):]
+        windows.update(found)
+        start = end
 
 
 def _context_counts(model: CharMarkovModel, history: str) -> tuple[dict[str, int], float]:

@@ -23,11 +23,11 @@ def scrambled(formula):
     return apply_formula(SOLVED_FACELETS, parse_formula(formula))
 
 
-def python(args, cwd, **env):
+def python(args, cwd, stdin=None, **env):
     """Run a fresh interpreter on this source tree and return its result."""
     path = os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, env={**os.environ, "PYTHONPATH": path, **env},
-                          capture_output=True, text=True, timeout=120, check=True)
+                          stdin=stdin, capture_output=True, text=True, timeout=120, check=True)
 
 
 # --- generation ---
@@ -83,6 +83,7 @@ def test_gen_seed_is_mandatory(tmp_path, capsys):
 @pytest.mark.parametrize("sizes, entry", [
     ("4x", "4x"), ("4x4,", ""), ("4x4,5", "5"), ("axb", "axb"),
     ("\u0664x\u0664", "\u0664x\u0664"), ("+4x4", "+4x4"), ("4x4,4_0x4", "4_0x4"),
+    ("\u30004x4", "\u30004x4"), ("4x4,5x5\x1c", "5x5\x1c"),
 ])
 def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     out = tmp_path / "maze.txt"
@@ -92,6 +93,12 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
     assert "usage" in err
     assert f"invalid maze size {entry!r} (expected WxH)" in err
     assert not out.exists()
+
+
+def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
+    out = tmp_path / "maze.txt"
+    assert run(["gen", "maze", "--seed", "1", "--total", "2", "--sizes", " 4x4\t,\n5x5 ", "--out", str(out)]) == 0
+    assert [(m["width"], m["height"]) for m in corpus.read_meta(f"{out}.meta.jsonl")] == [(4, 4), (5, 5)]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -188,6 +195,72 @@ def test_ingest_memory_does_not_grow_with_rows(tmp_path, capsys):
     peak(10)
     small, large = peak(500), peak(4000)
     assert large - small < 2**20, (small, large)
+
+
+def test_train_memory_does_not_grow_with_corpus(tmp_path, capsys):
+    def peak(total):
+        corpus_path = tmp_path / f"maze{total}.txt"
+        assert run(["gen", "maze", "--seed", "1", "--total", str(total), "--out", str(corpus_path)]) == 0
+        return traced_peak(["train", "--corpus", str(corpus_path), "--out", str(tmp_path / "model.json")])
+
+    peak(10)
+    small, large = peak(500), peak(4000)
+    assert large - small <= 2**20, (small, large)
+
+
+def test_split_memory_holds_unique_records_only(tmp_path, capsys):
+    # 18 distinct one-move scrambles however many records there are
+    def peak(total):
+        corpus_path = tmp_path / f"cube{total}.txt"
+        assert run(["gen", "cube", "--seed", "1", "--total", str(total), "--max-scramble", "1",
+                    "--out", str(corpus_path)]) == 0
+        return traced_peak(["split", "--in", str(corpus_path), "--seed", "2",
+                            "--train-out", str(tmp_path / "train.txt"), "--test-out", str(tmp_path / "test.txt")])
+
+    peak(10)
+    small, large = peak(500), peak(4000)
+    assert capsys.readouterr().err.endswith("4000 records -> 14 train + 4 test\n")
+    assert large - small <= 2**20, (small, large)
+
+
+# sha256 of model.json from `train --corpus - --order 6` on the CRLF copy of
+# `gen maze --seed 1 --total 4 --sizes 4x4`, recorded while train read stdin whole
+CRLF_STDIN_MODEL_SHA256 = "f2be25810829d60fc4078e8023a251773581fed46627a49af1a592f4d578e35d"
+
+
+def test_train_on_crlf_stdin_keeps_its_model_bytes(tmp_path, capsys):
+    lf = tmp_path / "lf.txt"
+    assert run(["gen", "maze", "--seed", "1", "--total", "4", "--sizes", "4x4", "--out", str(lf)]) == 0
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    with open(crlf, "rb") as stdin:
+        python(["-m", "puzzletext.cli", "train", "--corpus", "-", "--order", "6", "--out", "stdin.json"],
+               tmp_path, stdin=stdin)
+    assert run(["train", "--corpus", str(crlf), "--order", "6", "--out", str(tmp_path / "file.json")]) == 0
+    model = (tmp_path / "stdin.json").read_bytes()
+    assert model == (tmp_path / "file.json").read_bytes()
+    assert "\r" in json.loads(model)["alphabet"]
+    assert hashlib.sha256(model).hexdigest() == CRLF_STDIN_MODEL_SHA256
+
+
+@pytest.mark.parametrize("command", ["train", "split"])
+def test_non_utf8_corpus_is_data_error_and_writes_nothing(tmp_path, capsys, command):
+    good = tmp_path / "maze.txt"
+    assert run(["gen", "maze", "--seed", "1", "--total", "300", "--out", str(good)]) == 0
+    out = tmp_path / "out"
+    out.mkdir()
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(good.read_bytes() + b"\xff\n" + good.read_bytes())  # the bad byte is past the first pieces
+    argv = {
+        "train": ["train", "--corpus", str(bad), "--out", str(out / "model.json")],
+        "split": ["split", "--in", str(bad), "--seed", "1", "--train-out", str(out / "train.txt"),
+                  "--test-out", str(out / "test.txt")],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xff") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
 
 
 REAL_MAZE_RECORD = corpus._maze_record

@@ -232,6 +232,21 @@ def test_ingest_sudoku_csv(tmp_path):
     assert "81 characters" in issues[0].reason
 
 
+def test_ingest_strips_ascii_whitespace_only(tmp_path):
+    csv_path = tmp_path / "games.csv"
+    csv_path.write_text(
+        "quizzes,solutions\n"
+        f" {SAMPLE_SUDOKU_PUZZLE}\t,{SAMPLE_SUDOKU_SOLUTION} \n"
+        f"\u3000{SAMPLE_SUDOKU_PUZZLE} ,{SAMPLE_SUDOKU_SOLUTION}\x1c\n"
+        f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\x1c\n",
+        encoding="utf-8",
+    )
+    issues = []
+    records = list(ingest_sudoku_csv(csv_path, issues))
+    assert [(r.prompt, r.response) for r in records] == [(SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION)]
+    assert [issue.line for issue in issues] == [3, 4]
+
+
 def test_ingest_missing_file():
     with pytest.raises(FileNotFoundError):
         ingest_sudoku_csv("/nonexistent/games.csv")
@@ -292,7 +307,7 @@ def test_split_framed_stream_isolates_chunks():
     (record,) = build_maze_corpus(16, 1, [(4, 4)])
     good = serialize_record(record)
     stream = "garbage preamble\n" + good + "\n" + good.rsplit("\n", 2)[0] + "\n"
-    chunks = split_framed_stream(stream)
+    chunks = list(split_framed_stream(stream))
     assert len(chunks) == 3
     assert chunks[0] == "garbage preamble"
     assert chunks[1] == good

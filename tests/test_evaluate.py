@@ -575,7 +575,7 @@ def test_referee_verdicts_are_pinned():
         seen.add(outcome[1].split(":")[0] if outcome[0] == "invalid" else outcome[0])
         digest.update(repr(outcome).encode() + b"\n")
     for stream in mutated_streams(rng, 500):
-        digest.update(repr(corpus.split_framed_stream(stream)).encode() + b"\n")
+        digest.update(repr(list(corpus.split_framed_stream(stream))).encode() + b"\n")
     assert seen == {
         "correct", "incorrect", "BadPromptError", "too_long", "syntax_error", "bad_grid", "clue_changed",
         "framing", "prompt_maze", "response_maze", "wall_mismatch"}

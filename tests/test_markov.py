@@ -131,6 +131,37 @@ def test_train_order_beyond_text_length(name, beyond):
     assert (model.counts, model.char_counts) == naive_train(text, order) == ({}, dict(Counter(text)))
 
 
+def cut(text, cuts):
+    """`text` in pieces that end at each in-range cut, empty pieces kept."""
+    bounds = [0, *sorted(c for c in cuts if 0 <= c <= len(text)), len(text)]
+    return [text[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 200])
+@pytest.mark.parametrize("name", CHUNK_EDGE_TEXTS)
+def test_train_over_pieces_cut_at_chunk_edges(name, order):
+    # pieces that end at, just before and just after every chunk edge, and
+    # `order` characters before it, where a line's window starts to reach over
+    text = CHUNK_EDGE_TEXTS[name]
+    edges = range(_CHUNK_CHARS, len(text), _CHUNK_CHARS)
+    pieces = cut(text, [edge + shift for edge in edges for shift in (-order, -1, 0, 1)])
+    assert train(iter(pieces), order, 0.1) == train(text, order, 0.1)
+
+
+@pytest.mark.parametrize("beyond", [1, 10**12])
+@pytest.mark.parametrize("name", [name for name in TRAIN_TEXTS if len(TRAIN_TEXTS[name]) < 100])
+def test_train_over_one_char_pieces_with_order_beyond_text_length(name, beyond):
+    text = TRAIN_TEXTS[name]
+    order = len(text) + beyond
+    assert train(list(text), order, 0.1) == train(text, order, 0.1)
+
+
+def test_train_over_no_pieces_or_empty_pieces_is_an_empty_corpus():
+    for pieces in ([], ["", ""]):
+        with pytest.raises(EmptyCorpusError):
+            train(pieces, 1, 0.1)
+
+
 # --- probabilities ---
 
 

@@ -3,6 +3,7 @@ references over generated texts, models, seeds and temperatures, with one
 sampler reused across several draws."""
 import math
 import random
+from unittest import mock
 
 import pytest
 
@@ -10,9 +11,10 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from puzzletext import markov  # noqa: E402
 from puzzletext.markov import END_TOKEN, sample, sampler, train  # noqa: E402
 
-from test_markov import naive_train  # noqa: E402
+from test_markov import cut, naive_train  # noqa: E402
 
 TEXTS = st.text(alphabet="ab\n\r x", max_size=200)
 FAST = settings(max_examples=300, deadline=None)
@@ -63,6 +65,26 @@ def test_train_matches_per_position_counts(text, order):
     assert model.counts == counts
     assert model.char_counts == char_counts
     assert model.alphabet == tuple(sorted(char_counts))
+
+
+@FAST
+@given(
+    text=TEXTS.filter(bool),
+    cuts=st.lists(st.integers(0, 200), max_size=12),
+    chunk=st.integers(1, 16),
+    order=st.one_of(st.sampled_from([0, 1, 6, 200]), st.integers(0, 12)),
+    beyond=st.booleans(),
+)
+def test_train_over_pieces_matches_whole_text(text, cuts, chunk, order, beyond):
+    """Any cut of the text into pieces, with chunks of a few characters so
+    that lines cross chunk edges, CR-only breaks, texts without a final
+    newline, and orders past the text's length."""
+    if beyond:
+        order = len(text) + 10**12
+    whole = train(text, order, 0.1)
+    assert (whole.counts, whole.char_counts) == naive_train(text, order)
+    with mock.patch.object(markov, "_CHUNK_CHARS", chunk):
+        assert train(iter(cut(text, cuts)), order, 0.1) == whole
 
 
 @FAST

@@ -39,6 +39,8 @@ from puzzletext.sudoku import (  # noqa: E402
     parse_grid81,
 )
 
+from test_markov import cut  # noqa: E402
+
 FAST = settings(max_examples=300, deadline=None)
 DIGITS = "0123456789"
 NOT_DIGITS = ("²", "٣", "３", "٠", "x", " ", "\r", "-")
@@ -127,7 +129,33 @@ def reference_split_framed_stream(text):
 @FAST
 @given(st.lists(st.sampled_from(["\n", " ", "x", "\r", "\x0b", "\u00a0", START_TOKEN]), max_size=40).map("".join))
 def test_split_framed_stream_matches_line_loop(text):
-    assert split_framed_stream(text) == reference_split_framed_stream(text)
+    assert list(split_framed_stream(text)) == reference_split_framed_stream(text)
+
+
+FRAMED_STREAMS = st.lists(
+    st.sampled_from(["\n", " ", "x", "\r", "\x0b", "\u00a0", START_TOKEN, "\n" + START_TOKEN[:7]]), max_size=40,
+).map("".join)
+
+
+@FAST
+@given(FRAMED_STREAMS, st.lists(st.integers(0, 600), max_size=10))
+def test_split_framed_stream_over_pieces_matches_line_loop(text, cuts):
+    assert list(split_framed_stream(iter(cut(text, cuts)))) == reference_split_framed_stream(text)
+
+
+def test_split_framed_stream_over_pieces_cut_inside_the_separator():
+    # a whitespace-only chunk (dropped), a non-ASCII-whitespace one (kept),
+    # a broken separator, and a chunk longer than many pieces before a
+    # short last one, whose separator arrives in a piece shorter than the
+    # text carried
+    stream = (" \t\n" + START_TOKEN + "a\n \n" + START_TOKEN + "\n\t\n\n" + START_TOKEN[:9] + "b\n" + START_TOKEN
+              + "\u00a0\n" + START_TOKEN + "c" * 40 + "\n\n" + START_TOKEN + "d")
+    want = reference_split_framed_stream(stream)
+    assert len(want) == 5
+    for i in range(len(stream) + 1):
+        assert list(split_framed_stream(iter(cut(stream, [i])))) == want, i
+        assert list(split_framed_stream(iter(cut(stream, range(i, len(stream), 3))))) == want, i
+    assert list(split_framed_stream(iter(stream))) == want
 
 
 CODEC = " +-|^>v<*\n"

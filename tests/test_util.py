@@ -1,8 +1,9 @@
+import io
 import os
 
 import pytest
 
-from puzzletext._util import atomic_write_text, atomic_writer
+from puzzletext._util import PIECE_CHARS, Counted, atomic_write_text, atomic_writer, read_pieces, read_text
 
 
 def test_write_creates_file_with_plain_open_mode(tmp_path):
@@ -42,3 +43,26 @@ def test_writer_failing_midway_keeps_old_contents_and_leaves_no_temp_file(tmp_pa
             raise RuntimeError("stream broke")
     assert target.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("edge", ["\u00e9", "\u20ac", "\U0001f600", "\r\n"])
+def test_read_pieces_keeps_a_character_or_crlf_across_a_piece_edge(tmp_path, edge):
+    # the edge's first character ends the first piece, and a multi-byte one
+    # has its bytes cross byte 65,536; more multi-byte characters follow
+    text = "a" * (PIECE_CHARS - 1) + edge + "\u00e9b\r" * 30_000 + edge
+    path = tmp_path / "text.txt"
+    path.write_bytes(text.encode("utf-8"))
+    pieces = list(read_pieces(path))
+    assert "".join(pieces) == read_text(path) == text
+    assert [len(piece) for piece in pieces[:-1]] == [PIECE_CHARS] * (len(pieces) - 1)
+    assert pieces[0].endswith(edge[0]) and pieces[1].startswith(edge[1:])
+    assert list(read_pieces(io.StringIO(text))) == pieces
+
+
+def test_counted_measures_what_has_been_read():
+    pieces = Counted(iter(["ab", "", "cde"]), len)
+    assert len(pieces) == 0
+    assert list(pieces) == ["ab", "", "cde"]
+    assert len(pieces) == 5
+    items = Counted(x for x in "xyz")
+    assert next(iter(items)) == "x" and len(items) == 1
