@@ -223,26 +223,25 @@ def build_parser() -> _Parser:
         for flag, options in flags:
             g.add_argument(flag, **options)
         g.add_argument("--out", required=True)
-        g.add_argument("--jobs", type=_number(int, 1), default=1, help="parallel workers (default 1)")
         g.set_defaults(func=_cmd_gen, build=build)
 
     add_gen(
         "cube", "cube scramble/solution pairs", 5000,
-        lambda a: corpus_mod.build_cube_corpus(a.seed, a.total, a.max_scramble, jobs=a.jobs),
+        lambda a: corpus_mod.build_cube_corpus(a.seed, a.total, a.max_scramble),
         ("--max-scramble", dict(type=_number(int, 1), default=5)),
     )
     add_gen(
         "sudoku", "sudoku puzzle/solution pairs", 1000,
         lambda a: corpus_mod.build_sudoku_corpus(
-            a.seed, a.total, (a.clue_min, a.clue_max), require_unique=not a.allow_multiple, jobs=a.jobs
+            a.seed, a.total, (a.clue_min, a.clue_max), require_unique=not a.allow_multiple
         ),
-        ("--clue-min", dict(type=int, default=25)),
-        ("--clue-max", dict(type=int, default=35)),
+        ("--clue-min", dict(type=_number(int, 17, below=81), default=25)),
+        ("--clue-max", dict(type=_number(int, 17, below=81), default=35)),
         ("--allow-multiple", dict(action="store_true", help="skip the uniqueness check")),
     )
     add_gen(
         "maze", "unsolved/solved maze render pairs", 10000,
-        lambda a: corpus_mod.build_maze_corpus(a.seed, a.total, a.sizes, jobs=a.jobs),
+        lambda a: corpus_mod.build_maze_corpus(a.seed, a.total, a.sizes),
         ("--sizes", dict(type=_parse_sizes, default="4x4,5x5", help="comma-separated WxH list")),
     )
 
@@ -289,8 +288,8 @@ def build_parser() -> _Parser:
     g.set_defaults(func=_cmd_render_sudoku)
     g = render.add_parser("maze")
     g.add_argument("--seed", type=int, required=True)
-    g.add_argument("--width", type=int, default=5)
-    g.add_argument("--height", type=int, default=5)
+    g.add_argument("--width", type=_number(int, 2), default=5)
+    g.add_argument("--height", type=_number(int, 2), default=5)
     g.add_argument("--solved", action="store_true")
     g.set_defaults(func=_cmd_render_maze)
 

@@ -133,22 +133,6 @@ def parse_record(text: str) -> PuzzleRecord:
     return PuzzleRecord(_detect_single_line_kind(prompt), prompt, response, {})
 
 
-def _map_records(worker, params: Iterator, total: int, jobs: int) -> Iterator[PuzzleRecord]:
-    """`worker` over `total` lazily drawn params, in input order."""
-    if jobs > 1:
-        return _pool_records(worker, params, total, jobs)
-    return map(worker, params)
-
-
-def _pool_records(worker, params: Iterator, total: int, jobs: int) -> Iterator[PuzzleRecord]:
-    # Imported here: only --jobs > 1 pays its import time.
-    import multiprocessing
-
-    chunksize = max(1, -(-total // (jobs * 4)))  # the chunk size pool.map picks
-    with multiprocessing.Pool(jobs) as pool:
-        yield from pool.imap(worker, params, chunksize)
-
-
 def _cube_record(params) -> PuzzleRecord:
     seed, length, max_scramble = params
     scramble = random_scramble(seed, length, max_length=max_scramble)
@@ -163,7 +147,7 @@ def _cube_record(params) -> PuzzleRecord:
     )
 
 
-def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int = 1) -> Iterator[PuzzleRecord]:
+def build_cube_corpus(rng_seed: int, total: int, max_scramble: int) -> Iterator[PuzzleRecord]:
     """total/max_scramble scrambles per length 1..max_scramble, each paired
     with a minimal solving formula. Pre-dedup count is exactly `total`."""
     if max_scramble < 1:
@@ -176,7 +160,7 @@ def build_cube_corpus(rng_seed: int, total: int, max_scramble: int, *, jobs: int
         for length in range(1, max_scramble + 1)
         for _ in range(total // max_scramble)
     )
-    return _map_records(_cube_record, params, total, jobs)
+    return map(_cube_record, params)
 
 
 def _sudoku_record(params) -> PuzzleRecord:
@@ -196,7 +180,6 @@ def build_sudoku_corpus(
     clue_range: tuple[int, int] = (25, 35),
     *,
     require_unique: bool = True,
-    jobs: int = 1,
 ) -> Iterator[PuzzleRecord]:
     """Seeded puzzle/solution pairs with clue counts drawn uniformly from
     clue_range (inclusive)."""
@@ -208,7 +191,7 @@ def build_sudoku_corpus(
         (master.getrandbits(63), master.randint(low, high), require_unique)
         for _ in range(total)
     )
-    return _map_records(_sudoku_record, params, total, jobs)
+    return map(_sudoku_record, params)
 
 
 def _maze_record(params) -> PuzzleRecord:
@@ -226,8 +209,6 @@ def build_maze_corpus(
     rng_seed: int,
     total: int,
     sizes: list[tuple[int, int]] = ((4, 4), (5, 5)),
-    *,
-    jobs: int = 1,
 ) -> Iterator[PuzzleRecord]:
     """Unsolved/solved render pairs; sizes are cycled so each appears
     total/len(sizes) times (up to remainder)."""
@@ -241,7 +222,7 @@ def build_maze_corpus(
             )
     master = random.Random(rng_seed)
     params = ((master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total))
-    return _map_records(_maze_record, params, total, jobs)
+    return map(_maze_record, params)
 
 
 def ingest_sudoku_csv(path, issues: list[RowIssue] | None = None) -> Iterator[PuzzleRecord]:

@@ -265,14 +265,32 @@ def count_solutions(grid: Grid, limit: int) -> int:
     return sum(1 for _ in islice(_completions(list(grid), masks), limit))
 
 
+def _other_completion_exists(cells, masks, cell: int) -> bool:
+    """Whether the unique puzzle `cells`, whose unit masks are `masks`, has
+    a completion with another digit in `cell` once that cell is blanked."""
+    units = _CELL_UNITS[cell]
+    swap = 1 << cells[cell]
+    for other in _digits(~(masks[units[0]] | masks[units[1]] | masks[units[2]]) & 0b1111111110):
+        # _completions leaves what it fills in place when stopped early: give it copies
+        trial, filled = masks.copy(), list(cells)
+        for u in units:
+            trial[u] ^= swap | 1 << other
+        filled[cell] = other
+        if next(_completions(filled, trial), None) is not None:
+            return True
+    return False
+
+
 def generate_puzzle(
     rng_seed: int, clues: int, require_unique: bool = True, max_attempts: int = 20
 ) -> tuple[Grid, Grid]:
     """Seeded (puzzle, solution) pair with exactly `clues` filled cells.
 
     Builds a solved grid by randomized backtracking, then removes cells in
-    seeded random order, skipping removals that break uniqueness when
-    require_unique. Retries with fresh grids before giving up.
+    seeded random order. When require_unique, a removal is kept only if no
+    completion puts another digit in the blanked cell: the puzzle before it
+    has one known completion, so then it stays unique. Retries with fresh
+    grids before giving up.
     """
     if not 17 <= clues <= 80:
         raise ValueError(f"clues must be in 17..80, got {clues}")
@@ -280,18 +298,19 @@ def generate_puzzle(
     for _ in range(max_attempts):
         solution = next(_completions([0] * 81, [0] * 27, rng))
         cells = list(solution)
+        masks = [0b1111111110] * 27  # every unit of a solved grid holds all nine digits
         order = list(range(81))
         rng.shuffle(order)
         remaining = 81
         for cell in order:
             if remaining == clues:
                 break
-            removed = cells[cell]
+            if require_unique and _other_completion_exists(cells, masks, cell):
+                continue
+            for u in _CELL_UNITS[cell]:
+                masks[u] ^= 1 << cells[cell]
             cells[cell] = 0
-            if require_unique and count_solutions(tuple(cells), 2) != 1:
-                cells[cell] = removed
-            else:
-                remaining -= 1
+            remaining -= 1
         if remaining == clues:
             return tuple(cells), solution
     raise PuzzleGenerationError(f"could not reach {clues} clues with a unique solution")

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -52,13 +51,6 @@ def test_gen_is_byte_reproducible(tmp_path):
     assert read(tmp_path / "a.txt.meta.jsonl") == read(tmp_path / "b.txt.meta.jsonl")
 
 
-def test_gen_jobs_flag_matches_serial(tmp_path):
-    serial, parallel = tmp_path / "s.txt", tmp_path / "p.txt"
-    assert run(["gen", "cube", "--seed", "5", "--total", "10", "--max-scramble", "5", "--out", str(serial)]) == 0
-    assert run(["gen", "cube", "--seed", "5", "--total", "10", "--max-scramble", "5", "--jobs", "2", "--out", str(parallel)]) == 0
-    assert read(serial) == read(parallel)
-
-
 def test_gen_cube_bytes_do_not_depend_on_the_hash_seed(tmp_path):
     # The solver's depth-4 bitset is indexed by str hash, which varies with
     # PYTHONHASHSEED; only the amount of search may change, not the labels.
@@ -103,11 +95,11 @@ def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["gen", "cube", "--seed", "1", "--total", "-5"], "argument --total: must be at least 0, got -5"),
-    (["gen", "maze", "--seed", "1", "--jobs", "0"], "argument --jobs: must be at least 1, got 0"),
-    (["gen", "sudoku", "--seed", "1", "--jobs", "-3"], "argument --jobs: must be at least 1, got -3"),
+    (["gen", "sudoku", "--seed", "1", "--clue-min", "10"], "argument --clue-min: must be at least 17 and less than 81, got 10"),
+    (["gen", "sudoku", "--seed", "1", "--clue-max", "81"], "argument --clue-max: must be at least 17 and less than 81, got 81"),
     (["sample", "--model", "m.json", "--seed", "0", "--count", "-2"], "argument --count: must be at least 0, got -2"),
     (["gen", "cube", "--seed", "1", "--total", "x"], "argument --total: invalid int value: 'x'"),
-    (["gen", "maze", "--seed", "1", "--jobs", "1.5"], "argument --jobs: invalid int value: '1.5'"),
+    (["render", "maze", "--seed", "1", "--width", "1"], "argument --width: must be at least 2, got 1"),
     (["sample", "--model", "m.json", "--seed", "0", "--count", "two"], "argument --count: invalid int value: 'two'"),
     (["sample", "--model", "m.json", "--seed", "0", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
     (["sample", "--model", "m.json", "--seed", "0", "--temperature", "0"], "argument --temperature: must be greater than 0, got 0.0"),
@@ -128,6 +120,7 @@ def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
      "argument --temperature: must be finite, got inf"),
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "inf"],
      "argument --test-fraction: must be greater than 0 and less than 1, got inf"),
+    (["render", "maze", "--seed", "1", "--height", "0"], "argument --height: must be at least 2, got 0"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
@@ -145,6 +138,9 @@ def test_numbers_at_their_bounds_are_accepted(tmp_path, capsys):
     argv = ["sample", "--model", str(model_path), "--seed", "0", "--max-chars", "1", "--temperature", "1e-9"]
     assert run(argv) == 0
     assert len(capsys.readouterr().out) == 2  # one character and its newline
+    argv = ["gen", "sudoku", "--seed", "1", "--total", "2", "--clue-min", "17", "--clue-max", "80", "--allow-multiple"]
+    assert run([*argv, "--out", str(tmp_path / "s.txt")]) == 0
+    assert run(["render", "maze", "--seed", "1", "--width", "2", "--height", "2"]) == 0
 
 
 def test_gen_maze_size_out_of_range_is_data_error(tmp_path, capsys):
@@ -267,7 +263,6 @@ REAL_MAZE_RECORD = corpus._maze_record
 
 
 def maze_record_failing_on_5x5(params):
-    """Module-level, so a worker pool can pickle it by name."""
     if params[1] == 5:
         raise RuntimeError("no 5x5 mazes today")
     return REAL_MAZE_RECORD(params)
@@ -281,18 +276,15 @@ def assert_left_as_before(tmp_path, files):
 OLD_FILES = {"out.txt": "old corpus\n", "out.txt.meta.jsonl": '{"kind": "old"}\n'}
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
-def test_gen_failing_midway_keeps_old_files(tmp_path, capsys, monkeypatch, jobs):
+def test_gen_failing_midway_keeps_old_files(tmp_path, capsys, monkeypatch):
     for name, text in OLD_FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     monkeypatch.setattr(corpus, "_maze_record", maze_record_failing_on_5x5)
-    sizes = ",".join(["4x4"] * 11 + ["5x5"])  # the twelfth record fails, after whole chunks at --jobs 2
-    argv = ["gen", "maze", "--seed", "1", "--total", "24", "--sizes", sizes, "--jobs", jobs,
-            "--out", str(tmp_path / "out.txt")]
+    sizes = ",".join(["4x4"] * 11 + ["5x5"])  # the twelfth record fails, after eleven were written
+    argv = ["gen", "maze", "--seed", "1", "--total", "24", "--sizes", sizes, "--out", str(tmp_path / "out.txt")]
     assert run(argv) == 2
     assert capsys.readouterr() == ("", "error: no 5x5 mazes today\n")
     assert_left_as_before(tmp_path, OLD_FILES)
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("text, message", [
@@ -649,7 +641,7 @@ gen cube --seed 7 --total 5 --max-scramble 0 --out bad.txt
 gen sudoku --seed 3 --total 2 --clue-min 34 --clue-max 35 --out sudoku.txt
 gen sudoku --seed 3 --total 2 --clue-min 30 --clue-max 30 --allow-multiple --out multi.txt
 gen sudoku --seed 3 --total 2 --clue-min 10 --out bad.txt
-gen maze --seed 1 --total 6 --sizes 4x4,5x5 --jobs 1 --out maze.txt
+gen maze --seed 1 --total 6 --sizes 4x4,5x5 --out maze.txt
 gen maze --seed 1 --total 2 --out default.txt
 gen maze --seed 1 --total 2 --sizes 1x4 --out bad.txt
 gen maze --seed 1 --total 2 --sizes 4x --out bad.txt
@@ -744,7 +736,10 @@ TRANSCRIPT_INPUTS = {
 # Re-recorded when float flags had to be finite: `train --alpha inf` and
 # `sample --temperature inf` became usage errors, so inf_model.json is never
 # written.
-PINNED_TRANSCRIPT_SHA256 = "6e23fcdac2fec0d9e2c2ef2263e703317b5de4248790929fdb1e32f7c9f98386"
+# Re-recorded when `--jobs` was removed and `--clue-min`, `--clue-max` and `render maze
+# --width` got ranges: the `gen <kind>` usage and help texts lost `--jobs`, `--jobs x` is
+# now an unrecognized argument, and `--clue-min 10` and `--width 1` became usage errors.
+PINNED_TRANSCRIPT_SHA256 = "378ea899b762a93818576ad4735bbc2ca6bb1b439d22245569831003f5ab8b02"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

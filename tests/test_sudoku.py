@@ -12,6 +12,8 @@ from puzzletext.sudoku import (
     PuzzleGenerationError,
     UnsolvableGridError,
     Violation,
+    _make_masks,
+    _other_completion_exists,
     count_solutions,
     count_violations,
     find_violations,
@@ -229,6 +231,23 @@ def test_solver_sound_on_100_generated_puzzles():
         assert find_violations(solved) == []
         assert all(p == 0 or p == s for p, s in zip(puzzle, solved))
         assert solved == solution  # unique puzzles have one completion
+
+
+def test_other_completion_check_matches_count_solutions():
+    """generate_puzzle's uniqueness check, on every clue of 30 unique
+    puzzles blanked in turn, against counting completions up to two."""
+    cases = broken = 0
+    for seed in range(30):
+        puzzle, _ = generate_puzzle(seed, 30 + seed % 10)
+        cells, masks = list(puzzle), _make_masks(puzzle)
+        for cell, digit in enumerate(puzzle):
+            if digit:
+                expected = count_solutions(puzzle[:cell] + (0,) + puzzle[cell + 1:], 2) != 1
+                assert _other_completion_exists(cells, masks, cell) == expected
+                cases += 1
+                broken += expected
+        assert (cells, masks) == (list(puzzle), _make_masks(puzzle))  # the search ran on copies
+    assert cases == 1035 and 0 < broken < cases  # both answers are checked
 
 
 def test_generate_clue_bounds():
