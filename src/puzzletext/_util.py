@@ -10,22 +10,38 @@ from pathlib import Path
 PIECE_CHARS = 1 << 16  # read_pieces yields pieces of at most this many characters
 
 
-def read_text(path) -> str:
-    """The file as UTF-8 with LF as the only line break; a CR stays in its line."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        return handle.read()
-
-
 def read_pieces(source) -> Iterator[str]:
     """The text of `source`, a path or an open text handle, in pieces of at
     most PIECE_CHARS characters that join to what one read() returns. A path
-    is opened as read_text opens it, so a CR stays in its line and a
-    character is never cut between pieces."""
+    is read as UTF-8 with LF as the only line break, so a CR stays in its
+    line, and a character is never cut between pieces."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, encoding="utf-8", newline="") as handle:
             yield from iter(partial(handle.read, PIECE_CHARS), "")
     else:
         yield from iter(partial(source.read, PIECE_CHARS), "")
+
+
+def split_pieces(stream: str | Iterable[str], separator: str) -> Iterator[str]:
+    """What "".join(stream).split(separator) returns, one part at a time:
+    the text after the last separator found is carried into the next piece."""
+    held: list[str] = []  # the text after the last separator found, in pieces
+    held_chars = rest_chars = 0
+    for piece in (stream,) if isinstance(stream, str) else stream:
+        held.append(piece)
+        held_chars += len(piece)
+        if held_chars < 2 * rest_chars:
+            continue  # a part longer than the pieces: join once it has doubled
+        *parts, rest = "".join(held).split(separator)
+        yield from parts
+        held = [rest]
+        held_chars = rest_chars = len(rest)
+    yield from "".join(held).split(separator)
+
+
+def read_lines(source) -> Iterator[str]:
+    """What read_pieces(source) joined and split at "\n" gives, one line at a time."""
+    return split_pieces(read_pieces(source), "\n")
 
 
 class Counted:

@@ -17,7 +17,7 @@ import sys
 from string import whitespace
 
 from . import __version__
-from ._util import Counted, atomic_write_text, read_pieces, read_text
+from ._util import Counted, atomic_write_text, read_pieces
 from . import corpus as corpus_mod
 from . import evaluate as evaluate_mod
 from . import markov as markov_mod
@@ -120,19 +120,13 @@ def _cmd_solve_sudoku(args) -> int:
     return 0
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    return read_text(path)
-
-
 def _read_pieces(path: str) -> Counted:
     """The text of `path` (stdin for "-") in pieces; len() is the characters read."""
     return Counted(read_pieces(sys.stdin if path == "-" else path), len)
 
 
 def _cmd_solve_maze(args) -> int:
-    maze, _ = maze_mod.parse_maze(_read_text(args.in_path))
+    maze, _ = maze_mod.parse_maze("".join(_read_pieces(args.in_path)))
     path = maze_mod.solve_maze(maze, args.strategy)
     print(maze_mod.render_maze(maze, path))
     return 0
@@ -170,7 +164,7 @@ def _cmd_train(args) -> int:
 def _cmd_sample(args) -> int:
     model = markov_mod.load_model(args.model)
     if args.prompt_file:
-        prompt = _read_text(args.prompt_file)
+        prompt = "".join(_read_pieces(args.prompt_file))
     else:
         prompt = args.prompt
     draw = markov_mod.sampler(model, args.temperature)

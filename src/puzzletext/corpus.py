@@ -25,7 +25,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from string import whitespace
 
-from ._util import atomic_writer, read_pieces, read_text
+from ._util import atomic_writer, read_lines, read_pieces, split_pieces
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
 from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
@@ -334,7 +334,7 @@ def read_json_lines(path, expected: type) -> list:
     an `expected` (str or dict). A blank line holds only ASCII whitespace,
     so any other line reaches json.loads. Errors name the file line."""
     values = []
-    for line, row in enumerate(read_text(path).split("\n"), start=1):
+    for line, row in enumerate(read_lines(path), start=1):
         if row.strip(whitespace):
             try:
                 value = json.loads(row)
@@ -366,25 +366,9 @@ def split_framed_stream(stream: str | Iterable[str]) -> Iterator[str]:
     becomes its own chunk so broken output still yields one verdict per
     chunk. Only a chunk of ASCII whitespace alone is dropped."""
     head = ""  # what a chunk's text lacks: nothing for the first, the start token after
-    for chunk in _split_pieces(stream, "\n" + START_TOKEN):
+    for chunk in split_pieces(stream, "\n" + START_TOKEN):
         chunk = (head + chunk).strip("\n")
         head = START_TOKEN
         if chunk.strip(whitespace):
             yield chunk
 
-
-def _split_pieces(stream: str | Iterable[str], separator: str) -> Iterator[str]:
-    """What "".join(stream).split(separator) returns, one part at a time:
-    the text after the last separator found is carried into the next piece."""
-    held: list[str] = []  # the text after the last separator found, in pieces
-    held_chars = rest_chars = 0
-    for piece in (stream,) if isinstance(stream, str) else stream:
-        held.append(piece)
-        held_chars += len(piece)
-        if held_chars < 2 * rest_chars:
-            continue  # a part longer than the pieces: join once it has doubled
-        *parts, rest = "".join(held).split(separator)
-        yield from parts
-        held = [rest]
-        held_chars = rest_chars = len(rest)
-    yield from "".join(held).split(separator)

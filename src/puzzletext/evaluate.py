@@ -11,9 +11,10 @@ digits for sudoku, and the fraction of the shortest path walked for mazes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from . import corpus as corpus_mod
-from ._util import read_text
+from ._util import read_lines, read_pieces
 from .corpus import DEFAULT_MAX_CHARS
 from .cube import (
     FACES,
@@ -56,8 +57,8 @@ class EmptyInputError(ValueError):
 class SampleVerdict:
     kind: str
     status: str  # invalid / incorrect / correct
-    reason: str | None  # set only for invalid samples
-    progress: object  # kind-specific metric; None for invalid samples
+    reason: str | None = None  # set only for invalid samples
+    progress: object = None  # kind-specific metric; None for invalid samples
 
 
 @dataclass(slots=True)
@@ -102,20 +103,17 @@ def classify_cube(
     except FaceletStringError as exc:
         raise BadPromptError(str(exc)) from exc
 
-    def verdict(status, reason=None, progress=None):
-        return SampleVerdict("cube", status, reason, progress)
-
     if len(response) > max_chars:
-        return verdict(INVALID, "too_long")
+        return SampleVerdict("cube", INVALID, "too_long")
     try:
         formula = parse_formula(response)
     except FormulaSyntaxError as exc:
-        return verdict(INVALID, f"syntax_error:{exc.position}")
+        return SampleVerdict("cube", INVALID, f"syntax_error:{exc.position}")
     final = apply_formula(cube, formula)
     progress = cube_progress(final)
     if is_solved(final):
-        return verdict(CORRECT, progress=progress)
-    return verdict(INCORRECT, progress=progress)
+        return SampleVerdict("cube", CORRECT, progress=progress)
+    return SampleVerdict("cube", INCORRECT, progress=progress)
 
 
 def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> SampleVerdict:
@@ -129,21 +127,18 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
     if count_violations(puzzle_grid):
         raise BadPromptError("prompt puzzle has repeated digits")
 
-    def verdict(status, reason=None, progress=None):
-        return SampleVerdict("sudoku", status, reason, progress)
-
     try:
         response_grid = parse_grid81(response)
     except ValueError:
-        return verdict(INVALID, "bad_grid")
+        return SampleVerdict("sudoku", INVALID, "bad_grid")
     if strict_clues and _clue_changed(puzzle_grid, response_grid):
-        return verdict(INVALID, "clue_changed")
+        return SampleVerdict("sudoku", INVALID, "clue_changed")
     violations = count_violations(response_grid)
     filled = 81 - response_grid.count(0)
     progress = (filled, violations)
     if filled == 81 and not violations:
-        return verdict(CORRECT, progress=progress)
-    return verdict(INCORRECT, progress=progress)
+        return SampleVerdict("sudoku", CORRECT, progress=progress)
+    return SampleVerdict("sudoku", INCORRECT, progress=progress)
 
 
 def classify_maze(record_text: str) -> SampleVerdict:
@@ -153,37 +148,33 @@ def classify_maze(record_text: str) -> SampleVerdict:
     output too: framing errors, unparseable halves, and wall disagreements
     between the halves are all invalid. Progress for non-solving paths is
     the walked fraction of the shortest path."""
-
-    def verdict(status, reason=None, progress=None):
-        return SampleVerdict("maze", status, reason, progress)
-
     try:
         record = corpus_mod.parse_record(record_text)
     except ValueError:
-        return verdict(INVALID, "framing")
+        return SampleVerdict("maze", INVALID, "framing")
     if record.kind != "maze":
-        return verdict(INVALID, "framing")
+        return SampleVerdict("maze", INVALID, "framing")
     try:
         prompt_maze, _ = parse_maze(record.prompt)
     except MazeParseError:
-        return verdict(INVALID, "prompt_maze")
+        return SampleVerdict("maze", INVALID, "prompt_maze")
     try:
         response_maze, path = parse_maze(record.response)
     except MazeParseError:
-        return verdict(INVALID, "response_maze")
+        return SampleVerdict("maze", INVALID, "response_maze")
     if prompt_maze != response_maze:
-        return verdict(INVALID, "wall_mismatch")
+        return SampleVerdict("maze", INVALID, "wall_mismatch")
     steps = path or ()
     result = validate_path(response_maze, steps)
     if result.ok:
-        return verdict(CORRECT, progress=1.0)
+        return SampleVerdict("maze", CORRECT, progress=1.0)
     try:
         shortest = len(solve_maze(prompt_maze, "bfs"))
     except MazeUnreachableError:
-        return verdict(INCORRECT, progress=0.0)
+        return SampleVerdict("maze", INCORRECT, progress=0.0)
     walked = path_prefix_length(response_maze, steps)
     progress = min(1.0, walked / shortest) if shortest else 0.0
-    return verdict(INCORRECT, progress=progress)
+    return SampleVerdict("maze", INCORRECT, progress=progress)
 
 
 def _percentage(count: int, total: int) -> float:
@@ -270,13 +261,6 @@ def format_report(report: EvalReport) -> str:
     return "\n".join(lines)
 
 
-def _read_lines(path) -> list[str]:
-    lines = read_text(path).split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines
-
-
 def ingest_external_outputs(
     prompts_path,
     outputs_path,
@@ -298,15 +282,19 @@ def ingest_external_outputs(
         if jsonl:
             samples = corpus_mod.read_json_lines(outputs_path, str)
         else:
-            samples = corpus_mod.split_framed_stream(read_text(outputs_path))
+            samples = corpus_mod.split_framed_stream(read_pieces(outputs_path))
         return [classify_maze(sample) for sample in samples], issues
     if kind not in ("cube", "sudoku"):
         raise ValueError(f"unknown kind {kind!r}")
-    prompts = _read_lines(prompts_path)
-    outputs = _read_lines(outputs_path)
-    if len(prompts) != len(outputs):
-        raise LineCountMismatchError(len(prompts), len(outputs))
-    for line, (prompt, output) in enumerate(zip(prompts, outputs), start=1):
+    # A file's line count is its last non-empty line. Lines past both counts
+    # pair blank prompts, so they give only issues, dropped once counts match.
+    prompt_count = output_count = 0
+    pairs = zip_longest(read_lines(prompts_path), read_lines(outputs_path), fillvalue="")
+    for line, (prompt, output) in enumerate(pairs, start=1):
+        if prompt:
+            prompt_count = line
+        if output:
+            output_count = line
         try:
             if kind == "cube":
                 verdicts.append(classify_cube(prompt, output, max_chars=max_chars))
@@ -314,4 +302,6 @@ def ingest_external_outputs(
                 verdicts.append(classify_sudoku(prompt, output, strict_clues=strict_clues))
         except BadPromptError as exc:
             issues.append(corpus_mod.RowIssue(line, str(exc)))
-    return verdicts, issues
+    if prompt_count != output_count:
+        raise LineCountMismatchError(prompt_count, output_count)
+    return verdicts, [issue for issue in issues if issue.line <= prompt_count]

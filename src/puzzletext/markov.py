@@ -19,7 +19,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
-from ._util import atomic_write_text, read_text
+from ._util import atomic_write_text, read_pieces
 from .corpus import DEFAULT_MAX_CHARS, END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
@@ -226,7 +226,7 @@ def save_model(model: CharMarkovModel, path) -> None:
 
 
 def load_model(path) -> CharMarkovModel:
-    payload = json.loads(read_text(path))
+    payload = json.loads("".join(read_pieces(path)))
     if not isinstance(payload, dict):
         raise ValueError(f"model file holds a JSON {type(payload).__name__}, not an object")
     if payload.get("format") != MODEL_FORMAT_VERSION:
@@ -241,12 +241,15 @@ def load_model(path) -> CharMarkovModel:
         raise ValueError(f"model alpha must be a finite number > 0, got {alpha!r}")
     if not isinstance(alphabet, str):
         raise ValueError(f"model alphabet must be a string, got a JSON {type(alphabet).__name__}")
+    if not alphabet:
+        raise ValueError("model alphabet must not be empty")
     counts, char_counts = payload["counts"], payload["char_counts"]
     if not isinstance(counts, dict) or not all(isinstance(b, dict) for b in (char_counts, *counts.values())):
         raise ValueError("model counts and char_counts must hold JSON objects")
     ints_only = {int}.issuperset
-    if not all(ints_only(map(type, bucket.values())) for bucket in counts.values()):
-        raise ValueError("model counts must be integers")
-    if not ints_only(map(type, char_counts.values())):
-        raise ValueError("model char_counts must be integers")
+    for name, buckets in (("counts", counts.values()), ("char_counts", (char_counts,))):
+        if not all(ints_only(map(type, bucket.values())) for bucket in buckets):
+            raise ValueError(f"model {name} must be integers")
+        if any(min(bucket.values(), default=0) < 0 for bucket in buckets):
+            raise ValueError(f"model {name} must not be negative")
     return CharMarkovModel(order, alpha, tuple(alphabet), counts, char_counts)

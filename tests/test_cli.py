@@ -480,6 +480,26 @@ def test_score_sudoku_lenient_clues(tmp_path, capsys):
     assert json.loads(read(lenient))["counts"]["correct"] == 1
 
 
+@pytest.mark.parametrize("prompts, outputs, code, err", [
+    ("{a}\n\n{b}\n\n\n", "{ra}\nx\n{rb}\n\n", 0, "skipped line 2: "),
+    ("{a}\n{b}\n\n\n", "R\nR\nR\n", 2, "error: 2 prompts but 3 outputs\n"),
+    ("{a}\n{b}", "{ra}\n{rb}\n\n\n", 0, ""),
+    ("\n{a}\n", "x\n", 2, "error: 2 prompts but 1 outputs\n"),
+])
+def test_score_pairs_lines_up_to_each_files_last_non_empty_line(tmp_path, capsys, prompts, outputs, code, err):
+    # {a} and {b} are scrambled cubes, {ra} and {rb} their solutions
+    names = dict(a=scrambled("R"), b=scrambled("U"), ra="R'", rb="U'")
+    (tmp_path / "p.txt").write_text(prompts.format(**names), encoding="utf-8")
+    (tmp_path / "o.txt").write_text(outputs.format(**names), encoding="utf-8")
+    assert run(["score", "cube", "--prompts", str(tmp_path / "p.txt"), "--outputs", str(tmp_path / "o.txt")]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured == ("", err)
+    else:
+        assert captured.out.splitlines()[:2] == ["total samples: 2", "  correct        2  (100.0%)"]
+        assert captured.err.startswith(err) and captured.err.count("\n") == (err != "")
+
+
 @pytest.mark.parametrize("meta, message", [
     ('{"scramble_length": 1}\n[1]\n', "line 2: expected a JSON object, got list"),
     ('\n"R"\n', "line 2: expected a JSON object, got str"),

@@ -332,6 +332,9 @@ _GOOD_MODEL = {"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts"
     ("alphabet", ["a", "b"], "model alphabet must be a string, got a JSON list"),
     ("counts", {"a": {"b": 1.5}}, "model counts must be integers"),
     ("char_counts", {"a": "1", "b": 1}, "model char_counts must be integers"),
+    ("alphabet", "", "model alphabet must not be empty"),
+    ("counts", {"a": {"b": -1}}, "model counts must not be negative"),
+    ("char_counts", {"a": -1}, "model char_counts must not be negative"),
 ])
 def test_load_rejects_a_field_of_the_wrong_type(tmp_path, field, value, message):
     path = tmp_path / "model.json"

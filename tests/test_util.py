@@ -3,7 +3,8 @@ import os
 
 import pytest
 
-from puzzletext._util import PIECE_CHARS, Counted, atomic_write_text, atomic_writer, read_pieces, read_text
+from puzzletext import _util
+from puzzletext._util import PIECE_CHARS, Counted, atomic_write_text, atomic_writer, read_lines, read_pieces
 
 
 def test_write_creates_file_with_plain_open_mode(tmp_path):
@@ -53,10 +54,20 @@ def test_read_pieces_keeps_a_character_or_crlf_across_a_piece_edge(tmp_path, edg
     path = tmp_path / "text.txt"
     path.write_bytes(text.encode("utf-8"))
     pieces = list(read_pieces(path))
-    assert "".join(pieces) == read_text(path) == text
+    assert "".join(pieces) == text
     assert [len(piece) for piece in pieces[:-1]] == [PIECE_CHARS] * (len(pieces) - 1)
     assert pieces[0].endswith(edge[0]) and pieces[1].startswith(edge[1:])
     assert list(read_pieces(io.StringIO(text))) == pieces
+
+
+@pytest.mark.parametrize("text", ["", "\n", "a", "ab\n", "\n\nabc\n\nd", "abcdefgh\n\n\n", "x\ny\r\nz\n\n"])
+def test_read_lines_splits_like_str_split_across_piece_edges(tmp_path, monkeypatch, text):
+    path = tmp_path / "text.txt"
+    path.write_bytes(text.encode("utf-8"))
+    for chars in (1, 2, 3):
+        monkeypatch.setattr(_util, "PIECE_CHARS", chars)
+        assert list(read_lines(path)) == text.split("\n")
+        assert list(read_lines(io.StringIO(text))) == text.split("\n")
 
 
 def test_counted_measures_what_has_been_read():
