@@ -16,7 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import IntEnum
-from operator import itemgetter
 
 from .cube_tables import CLOCKWISE_PERMS
 
@@ -123,10 +122,12 @@ def _build_move_perms():
 
 
 MOVE_PERMS = _build_move_perms()
-# The same permutations as sticker getters: "".join(MOVE_GETTERS[key](s))
-# turns the 54-character string s, about three times faster than indexing it
-# once per sticker.
-MOVE_GETTERS = {key: itemgetter(*perm) for key, perm in MOVE_PERMS.items()}
+# The same permutations as 54 index bytes. A state's 54 ASCII sticker bytes,
+# padded with STATE_PAD to 256, form a translation table, so
+# MOVE_INDEX[key].translate(state + STATE_PAD) gathers state[perm[i]] for
+# every i in one C call.
+MOVE_INDEX = {key: bytes(perm) for key, perm in MOVE_PERMS.items()}
+STATE_PAD = bytes(256 - 54)
 
 
 # The grammar's 18 tokens, each to its shared Move.
@@ -153,14 +154,27 @@ def inverse_formula(formula: Formula) -> Formula:
     return tuple(move.inverse() for move in reversed(formula))
 
 
+def encode_state(cube: str) -> bytes:
+    """The 54 ASCII bytes of a cube string. Raises FaceletLengthError or
+    FaceletAlphabetError; the letters themselves are not checked, so any
+    54 ASCII characters turn like stickers."""
+    if len(cube) != 54:
+        raise FaceletLengthError(len(cube))
+    try:
+        return cube.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise FaceletAlphabetError(exc.start, cube[exc.start]) from None
+
+
 def apply_move(cube: str, move: Move) -> str:
-    return "".join(MOVE_GETTERS[(move.face, move.turn)](cube))
+    return apply_formula(cube, (move,))
 
 
 def apply_formula(cube: str, formula: Formula) -> str:
+    state = encode_state(cube)
     for move in formula:
-        cube = "".join(MOVE_GETTERS[(move.face, move.turn)](cube))
-    return cube
+        state = MOVE_INDEX[(move.face, move.turn)].translate(state + STATE_PAD)
+    return state.decode("ascii")
 
 
 def decode_facelets(text: str) -> str:

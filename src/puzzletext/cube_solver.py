@@ -14,9 +14,13 @@ clear is therefore at least TABLE_DEPTH + 2 away, a bound that prunes one
 level earlier (Korf's pattern-database argument). Both bounds are
 admissible: they cut only subtrees that hold no solution within the
 threshold, so the depth-first order still returns the same first formula
-and raises DepthExceeded at the same caps. String hashes differ between
-processes, which changes only which far states share a bit with a near one
-and get expanded, never the result.
+and raises DepthExceeded at the same caps.
+
+The table, the bitset and the search hold states as their 54 ASCII bytes
+and turn them with cube.MOVE_INDEX. CPython hashes an ASCII string and its
+bytes alike, so the bitset marks the same buckets as it would for the
+strings. Those hashes differ between processes, which changes only which
+far states share a bit with a near one and get expanded, never the result.
 """
 from __future__ import annotations
 
@@ -24,15 +28,17 @@ from functools import lru_cache
 
 from .cube import (
     ALL_MOVES,
-    MOVE_GETTERS,
+    MOVE_INDEX,
     SOLVED_FACELETS,
+    STATE_PAD,
     Formula,
+    encode_state,
 )
 
 TABLE_DEPTH = 3
 _HASH_MASK = (1 << 20) - 1  # one bit per hash bucket: a 128 KB bitset
 
-_MOVES_WITH_GETTERS = tuple((move, MOVE_GETTERS[(move.face, move.turn)]) for move in ALL_MOVES)
+_MOVES_WITH_INDEX = tuple((move, MOVE_INDEX[(move.face, move.turn)]) for move in ALL_MOVES)
 
 
 class DepthExceeded(RuntimeError):
@@ -44,22 +50,24 @@ class DepthExceeded(RuntimeError):
 
 
 @lru_cache(maxsize=1)
-def _solution_table() -> tuple[dict[str, Formula], bytearray]:
+def _solution_table() -> tuple[dict[bytes, Formula], bytearray]:
     """The solution table, and the bitset marking every state one turn
     beyond it."""
-    getters = dict(_MOVES_WITH_GETTERS)
-    table = {SOLVED_FACELETS: ()}
-    frontier = [SOLVED_FACELETS]
+    indexes = dict(_MOVES_WITH_INDEX)
+    solved = SOLVED_FACELETS.encode("ascii")
+    table = {solved: ()}
+    frontier = [solved]
     for _ in range(TABLE_DEPTH):
         level = {}
         # Turning a parent by move.inverse() reaches a child that `move`
         # takes back to the parent. Trying the moves in ALL_MOVES order and
         # keeping the first parent found gives each child the first move
         # that brings it one turn closer.
+        padded = [parent + STATE_PAD for parent in frontier]
         for move in ALL_MOVES:
-            getter = getters[move.inverse()]
-            for parent in frontier:
-                child = "".join(getter(parent))
+            index = indexes[move.inverse()]
+            for parent, padded_parent in zip(frontier, padded):
+                child = index.translate(padded_parent)
                 if child not in table and child not in level:
                     level[child] = (move,) + table[parent]
         table.update(level)
@@ -68,17 +76,18 @@ def _solution_table() -> tuple[dict[str, Formula], bytearray]:
     for parent in frontier:
         # Turns of the face that brings the parent closer stay in the table.
         closer_face = table[parent][0].face
-        for move, getter in _MOVES_WITH_GETTERS:
+        padded = parent + STATE_PAD
+        for move, index in _MOVES_WITH_INDEX:
             if move.face == closer_face:
                 continue
-            child = "".join(getter(parent))
+            child = index.translate(padded)
             if child not in table:
                 bucket = hash(child) & _HASH_MASK
                 beyond[bucket >> 3] |= 1 << (bucket & 7)
     return table, beyond
 
 
-def _search(facelets: str, g: int, threshold: int, last_face, table, beyond) -> list | None:
+def _search(facelets: bytes, g: int, threshold: int, last_face, table, beyond) -> list | None:
     formula = table.get(facelets)
     if formula is not None:
         # Optimal formula known: either finish here or prune, never recurse.
@@ -92,10 +101,11 @@ def _search(facelets: str, g: int, threshold: int, last_face, table, beyond) -> 
         bucket = hash(facelets) & _HASH_MASK
         if not beyond[bucket >> 3] & (1 << (bucket & 7)):
             return None
-    for move, getter in _MOVES_WITH_GETTERS:
+    padded = facelets + STATE_PAD
+    for move, index in _MOVES_WITH_INDEX:
         if move.face == last_face:
             continue
-        child = "".join(getter(facelets))
+        child = index.translate(padded)
         found = _search(child, g + 1, threshold, move.face, table, beyond)
         if found is not None:
             found.insert(0, move)
@@ -111,9 +121,10 @@ def solve(cube: str, max_depth: int = 6) -> Formula:
     """
     if max_depth < 0:
         raise ValueError("max_depth must be >= 0")
+    state = encode_state(cube)
     table, beyond = _solution_table()
     for threshold in range(max_depth + 1):
-        found = _search(cube, 0, threshold, None, table, beyond)
+        found = _search(state, 0, threshold, None, table, beyond)
         if found is not None:
             return tuple(found)
     raise DepthExceeded(max_depth)

@@ -13,6 +13,7 @@ import json
 import math
 import random
 import re
+import sys
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
@@ -252,4 +253,7 @@ def load_model(path) -> CharMarkovModel:
             raise ValueError(f"model {name} must be integers")
         if any(min(bucket.values(), default=0) < 0 for bucket in buckets):
             raise ValueError(f"model {name} must not be negative")
+        # sampling divides by each bucket's total as a float
+        if any(sum(bucket.values()) > sys.float_info.max for bucket in buckets):
+            raise ValueError(f"model {name} must sum to at most {sys.float_info.max:g}")
     return CharMarkovModel(order, alpha, tuple(alphabet), counts, char_counts)

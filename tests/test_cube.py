@@ -32,6 +32,7 @@ from puzzletext.cube import (
     random_scramble,
     render_cube_net,
 )
+from puzzletext.cube_solver import DepthExceeded, solve
 from puzzletext.cube_tables import CLOCKWISE_PERMS
 
 SOLVED = SOLVED_FACELETS
@@ -183,6 +184,55 @@ def test_apply_formula_folds_left_to_right():
     for move in formula:
         one_by_one = apply_move(one_by_one, move)
     assert apply_formula(SOLVED, formula) == one_by_one
+
+
+def reference_move(state, move):
+    """One turn as a per-sticker gather over MOVE_PERMS."""
+    return "".join(state[i] for i in MOVE_PERMS[(move.face, move.turn)])
+
+
+def test_apply_move_gathers_by_its_permutation():
+    distinct = "".join(chr(c) for c in range(ord("0"), ord("0") + 54))
+    assert len(set(distinct)) == 54
+    for move in ALL_MOVES:
+        assert apply_move(distinct, move) == reference_move(distinct, move), move
+
+
+def test_apply_formula_matches_folded_reference_on_any_letters():
+    # The referee turns any prompt that decode_facelets accepts, so the
+    # states here are random strings over FACES that no scramble reaches.
+    rng = random.Random(22)
+    for _ in range(300):
+        state = "".join(rng.choice(FACES) for _ in range(54))
+        formula = tuple(rng.choice(ALL_MOVES) for _ in range(rng.randrange(12)))
+        expected = state
+        for move in formula:
+            expected = reference_move(expected, move)
+        assert apply_formula(state, formula) == expected
+
+
+@pytest.mark.parametrize("state, error, detail", [
+    (SOLVED_FACELETS + "XXXXXX", FaceletLengthError, ("length", 60)),
+    (SOLVED_FACELETS[:50], FaceletLengthError, ("length", 50)),
+    (SOLVED_FACELETS[:7] + "\u00dc" + SOLVED_FACELETS[8:], FaceletAlphabetError, ("position", 7)),
+], ids=["60_chars", "50_chars", "non_ascii"])
+def test_turns_and_solve_reject_a_state_that_is_no_54_ascii_string(state, error, detail):
+    name, value = detail
+    calls = (
+        lambda: apply_move(state, ALL_MOVES[0]),
+        lambda: apply_formula(state, ()),
+        lambda: apply_formula(state, parse_formula("R U")),
+        lambda: solve(state, 5),
+    )
+    for call in calls:
+        with pytest.raises(error) as excinfo:
+            call()
+        assert getattr(excinfo.value, name) == value
+
+
+def test_solve_on_54_ascii_letters_that_are_no_cube_exceeds_depth():
+    with pytest.raises(DepthExceeded):
+        solve("X" * 54, 5)
 
 
 def test_scramble_then_inverse_returns_start():

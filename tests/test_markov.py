@@ -335,6 +335,8 @@ _GOOD_MODEL = {"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts"
     ("alphabet", "", "model alphabet must not be empty"),
     ("counts", {"a": {"b": -1}}, "model counts must not be negative"),
     ("char_counts", {"a": -1}, "model char_counts must not be negative"),
+    ("counts", {"": {"a": 10**400}}, "model counts must sum to at most 1.79769e+308"),
+    ("char_counts", {"a": 2**1023, "b": 2**1023}, "model char_counts must sum to at most 1.79769e+308"),
 ])
 def test_load_rejects_a_field_of_the_wrong_type(tmp_path, field, value, message):
     path = tmp_path / "model.json"
