@@ -14,6 +14,7 @@ import argparse
 import json
 import math
 import sys
+from pathlib import Path
 from string import whitespace
 
 from . import __version__
@@ -95,6 +96,9 @@ def _cmd_ingest_sudoku_csv(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    if Path(args.train_out).resolve() == Path(args.test_out).resolve():
+        # the test side would overwrite the train side
+        raise ValueError(f"--train-out and --test-out name the same file: {args.train_out}, {args.test_out}")
     chunks = corpus_mod.split_framed_stream(read_pieces(args.in_path))
     records = Counted(map(corpus_mod.parse_record, chunks))
     split = corpus_mod.dedup_and_split(records, args.seed, args.test_fraction)
@@ -145,9 +149,8 @@ def _cmd_render_sudoku(args) -> int:
 
 
 def _cmd_render_maze(args) -> int:
-    maze = maze_mod.generate_maze(args.seed, args.width, args.height)
-    path = maze_mod.solve_maze(maze, "bfs") if args.solved else None
-    print(maze_mod.render_maze(maze, path))
+    maze, path = maze_mod.generate_solved_maze(args.seed, args.width, args.height)
+    print(maze_mod.render_maze(maze, path if args.solved else None))
     return 0
 
 

@@ -29,7 +29,6 @@ from .maze import (
     MazeParseError,
     MazeUnreachableError,
     parse_maze,
-    path_prefix_length,
     solve_maze,
     validate_path,
 )
@@ -172,7 +171,7 @@ def classify_maze(record_text: str) -> SampleVerdict:
         shortest = len(solve_maze(prompt_maze, "bfs"))
     except MazeUnreachableError:
         return SampleVerdict("maze", INCORRECT, progress=0.0)
-    walked = path_prefix_length(response_maze, steps)
+    walked = len(steps) if result.step_index is None else result.step_index  # wrong_endpoint walks every step
     progress = min(1.0, walked / shortest) if shortest else 0.0
     return SampleVerdict("maze", INCORRECT, progress=progress)
 

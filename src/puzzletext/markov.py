@@ -20,12 +20,11 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import accumulate
 
+from . import _util
 from ._util import atomic_write_text, read_pieces
 from .corpus import DEFAULT_MAX_CHARS, END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
-
-_CHUNK_CHARS = 1 << 16  # train's line windows are counted per chunk of about this many characters
 
 
 class EmptyCorpusError(ValueError):
@@ -46,14 +45,18 @@ class CharMarkovModel:
 
 
 def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovModel:
-    """Count the corpus, a str or its text in pieces (as read_pieces yields
-    them). A line is counted once the `order` characters after it have
-    arrived, so between pieces only the uncounted tail is kept: the last
-    `order` characters, back to the start of the line they begin in."""
+    """Count the corpus, a str or its text in pieces, cut into pieces of at
+    most _util.PIECE_CHARS characters as read_pieces cuts a file. A line is
+    counted once the `order` characters after it have arrived, so between
+    pieces only the uncounted tail is kept: the last `order` characters,
+    back to the start of the line they begin in."""
     if order < 0:
         raise ValueError("order must be >= 0")
     if not 0 < alpha < math.inf:
         raise ValueError("alpha must be finite and > 0")
+    size = _util.PIECE_CHARS  # a longer piece would hold all its line windows at once
+    pieces = (part[i: i + size] for part in ((corpus,) if isinstance(corpus, str) else corpus)
+              for i in range(0, len(part), size))
     # A line window is one line with its "\n" plus the `order` characters after
     # it: it holds every (order+1)-gram that starts in the line. Repeated lines
     # in a corpus repeat their windows, so each distinct window is split into
@@ -61,7 +64,7 @@ def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovMo
     windows: Counter[str] = Counter()
     held: list[str] = []  # the text not yet counted, from a line start on
     held_chars = rest_chars = 0
-    for piece in (corpus,) if isinstance(corpus, str) else corpus:
+    for piece in pieces:
         held.append(piece)
         held_chars += len(piece)
         if held_chars < 2 * rest_chars:
@@ -100,23 +103,18 @@ def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovMo
 def _count_windows(text: str, order: int, limit: int, windows: Counter[str]) -> int:
     """Add the window of each line of `text` whose "\n" lies before `limit`
     to `windows`, and return where the first line left uncounted starts.
-    The windows are cut and counted in C, one chunk of whole lines at a time:
-    findall returns each newline-ended line's window, and the matches past
-    the chunk (lines ending within `order` characters of it) are dropped.
-    One findall over the whole text would hold every line's window at once."""
-    if limit <= 0:
+    The windows are cut and counted in C by one findall, which returns each
+    newline-ended line's window; the matches past the last counted line
+    (lines ending within `order` characters of it) are dropped. `text` is a
+    carried join of a few pieces, so the windows it holds at once stay few."""
+    end = text.rfind("\n", 0, max(limit, 0)) + 1
+    if not end:
         return 0
     reach = min(order, len(text))  # a repeat count within re's limit for any order
-    line_windows = re.compile(rf"(?=([^\n]*\n.{{0,{reach}}}))[^\n]*\n", re.DOTALL).findall
-    start = 0
-    while True:
-        end = text.rfind("\n", start, min(start + _CHUNK_CHARS, limit)) + 1 or text.find("\n", start, limit) + 1
-        if not end:
-            return start
-        found = line_windows(text, start, end + reach)
-        del found[text.count("\n", start, end):]
-        windows.update(found)
-        start = end
+    found = re.compile(rf"(?=([^\n]*\n.{{0,{reach}}}))[^\n]*\n", re.DOTALL).findall(text, 0, end + reach)
+    del found[text.count("\n", 0, end):]
+    windows.update(found)
+    return end
 
 
 def _context_counts(model: CharMarkovModel, history: str) -> tuple[dict[str, int], float]:
@@ -230,7 +228,7 @@ def load_model(path) -> CharMarkovModel:
     payload = json.loads("".join(read_pieces(path)))
     if not isinstance(payload, dict):
         raise ValueError(f"model file holds a JSON {type(payload).__name__}, not an object")
-    if payload.get("format") != MODEL_FORMAT_VERSION:
+    if type(payload.get("format")) is not int or payload["format"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format {payload.get('format')!r}")
     missing = [key for key in ("order", "alpha", "alphabet", "counts", "char_counts") if key not in payload]
     if missing:
@@ -256,4 +254,13 @@ def load_model(path) -> CharMarkovModel:
         # sampling divides by each bucket's total as a float
         if any(sum(bucket.values()) > sys.float_info.max for bucket in buckets):
             raise ValueError(f"model {name} must sum to at most {sys.float_info.max:g}")
+    # as train writes them: a count outside the alphabet, or a repeated
+    # character in it, would skew every total sampling divides by
+    if list(alphabet) != sorted(set(alphabet)):
+        raise ValueError("model alphabet must be sorted and hold each character once")
+    if any(len(context) != order for context in counts):
+        raise ValueError(f"model counts contexts must have length {order}")
+    for name, buckets in (("counts", counts.values()), ("char_counts", (char_counts,))):
+        if not all(map(set(alphabet).issuperset, buckets)):
+            raise ValueError(f"model {name} must count characters of the alphabet only")
     return CharMarkovModel(order, alpha, tuple(alphabet), counts, char_counts)

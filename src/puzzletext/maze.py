@@ -11,6 +11,7 @@ are written into the cell they enter using two-character arrow tokens:
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -181,35 +182,26 @@ def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
 
 def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
     """Entry-to-exit path. BFS returns a shortest path; DFS takes the first
-    path under N, E, S, W neighbor order. For perfect mazes they coincide."""
+    path under N, E, S, W neighbor order. For perfect mazes they coincide.
+    Both claim a cell when it is pushed on one frontier: BFS takes its oldest
+    cell, DFS its newest, with neighbors pushed in reverse so N comes first."""
     if strategy not in ("bfs", "dfs"):
         raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
     grid = _cached(_grid, maze.width, maze.height)(maze.width, maze.height)
     walls = [mask for row in maze.walls for mask in row]
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
-    if strategy == "bfs":
-        queue = [0]  # grows while it is read, so it is walked in BFS order
-        for cell in queue:
-            if cell == goal:
-                break
-            mask = walls[cell]
-            for neighbor, bit, _, token in grid[cell]:
-                if not mask & bit and neighbor not in came_from:
-                    came_from[neighbor] = (cell, token)
-                    queue.append(neighbor)
-    else:
-        # a cell is claimed when pushed; pushing in reverse explores N first
-        stack = [0]
-        while stack:
-            cell = stack.pop()
-            if cell == goal:
-                break
-            mask = walls[cell]
-            for neighbor, bit, _, token in reversed(grid[cell]):
-                if not mask & bit and neighbor not in came_from:
-                    came_from[neighbor] = (cell, token)
-                    stack.append(neighbor)
+    frontier = deque([0])
+    take, turn = (frontier.popleft, iter) if strategy == "bfs" else (frontier.pop, reversed)
+    while frontier:
+        cell = take()
+        if cell == goal:
+            break
+        mask = walls[cell]
+        for neighbor, bit, _, token in turn(grid[cell]):
+            if not mask & bit and neighbor not in came_from:
+                came_from[neighbor] = (cell, token)
+                frontier.append(neighbor)
     if goal not in came_from:
         raise MazeUnreachableError("exit not reachable from entry")
     steps = []

@@ -366,6 +366,19 @@ def test_split_command(tmp_path, capsys):
     assert not {r.prompt for r in train} & {r.prompt for r in test}
 
 
+@pytest.mark.parametrize("test_name", ["same.txt", "./same.txt", "sub/../same.txt"])
+def test_split_refuses_one_file_for_both_sides(tmp_path, capsys, monkeypatch, test_name):
+    # the test side would overwrite the train side, so no output is made
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    assert run(["gen", "cube", "--seed", "1", "--total", "10", "--max-scramble", "5", "--out", "c10.txt"]) == 0
+    capsys.readouterr()
+    assert run(["split", "--in", "c10.txt", "--seed", "1", "--train-out", "same.txt", "--test-out", test_name]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: --train-out and --test-out name the same file: same.txt, {test_name}\n")
+    assert not (tmp_path / "same.txt").exists()
+
+
 # --- ingest ---
 
 
@@ -551,6 +564,9 @@ def test_malformed_model_and_csv_files_are_data_errors(tmp_path, capsys):
         '{"format": 1}': "error: model file lacks order, alpha, alphabet, counts, char_counts",
         '{"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts": {"ab": 3}, "char_counts": {}}':
             "error: model counts and char_counts must hold JSON objects",
+        # a count outside the alphabet would pass its mass to the alphabet's last character
+        '{"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts": {"a": {"b": 1}}, '
+        '"char_counts": {"a": 1, "z": 1000}}': "error: model char_counts must count characters of the alphabet only",
     }
     model = tmp_path / "model.json"
     for text, message in models.items():

@@ -3,13 +3,14 @@ import inspect
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from puzzletext import corpus
+from puzzletext._util import PIECE_CHARS
 from puzzletext.markov import (
-    _CHUNK_CHARS,
     CharMarkovModel,
     EmptyCorpusError,
     TextTooShortError,
@@ -106,10 +107,10 @@ def straddling_lines(seed, total):
 
 
 CHUNK_EDGE_TEXTS = {
-    "straddling_lines": straddling_lines(1, 3 * _CHUNK_CHARS),
-    "straddling_no_final_newline": straddling_lines(2, 3 * _CHUNK_CHARS) + "tail",
-    "line_longer_than_chunk": "ab\n" + "y" * (_CHUNK_CHARS + 7) + "\n" + "cd\n" * 9 + "z" * (2 * _CHUNK_CHARS),
-    "cr_only_breaks": "ab\rcde\r\r" * (_CHUNK_CHARS // 4),
+    "straddling_lines": straddling_lines(1, 3 * PIECE_CHARS),
+    "straddling_no_final_newline": straddling_lines(2, 3 * PIECE_CHARS) + "tail",
+    "line_longer_than_chunk": "ab\n" + "y" * (PIECE_CHARS + 7) + "\n" + "cd\n" * 9 + "z" * (2 * PIECE_CHARS),
+    "cr_only_breaks": "ab\rcde\r\r" * (PIECE_CHARS // 4),
 }
 
 
@@ -143,7 +144,7 @@ def test_train_over_pieces_cut_at_chunk_edges(name, order):
     # pieces that end at, just before and just after every chunk edge, and
     # `order` characters before it, where a line's window starts to reach over
     text = CHUNK_EDGE_TEXTS[name]
-    edges = range(_CHUNK_CHARS, len(text), _CHUNK_CHARS)
+    edges = range(PIECE_CHARS, len(text), PIECE_CHARS)
     pieces = cut(text, [edge + shift for edge in edges for shift in (-order, -1, 0, 1)])
     assert train(iter(pieces), order, 0.1) == train(text, order, 0.1)
 
@@ -160,6 +161,19 @@ def test_train_over_no_pieces_or_empty_pieces_is_an_empty_corpus():
     for pieces in ([], ["", ""]):
         with pytest.raises(EmptyCorpusError):
             train(pieces, 1, 0.1)
+
+
+@pytest.mark.parametrize("wrap", [str, lambda text: [text]], ids=["str", "one_piece"])
+def test_train_memory_does_not_grow_with_piece_size(wrap):
+    # every piece is cut to PIECE_CHARS, so only one join's line windows are held
+    text = corpus.corpus_text(corpus.build_maze_corpus(1, 2000, [(4, 4), (5, 5)]))
+    tracemalloc.start()
+    try:
+        train(wrap(text), 6, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21, peak
 
 
 # --- probabilities ---
@@ -337,6 +351,14 @@ _GOOD_MODEL = {"format": 1, "order": 1, "alpha": 0.1, "alphabet": "ab", "counts"
     ("char_counts", {"a": -1}, "model char_counts must not be negative"),
     ("counts", {"": {"a": 10**400}}, "model counts must sum to at most 1.79769e+308"),
     ("char_counts", {"a": 2**1023, "b": 2**1023}, "model char_counts must sum to at most 1.79769e+308"),
+    # fields train never writes, which would skew the sampled distribution
+    ("format", True, "unsupported model format True"),
+    ("alphabet", "ba", "model alphabet must be sorted and hold each character once"),
+    ("alphabet", "aab", "model alphabet must be sorted and hold each character once"),
+    ("counts", {"ab": {"a": 5}}, "model counts contexts must have length 1"),
+    ("counts", {"a": {"c": 1000}}, "model counts must count characters of the alphabet only"),
+    ("counts", {"a": {"ab": 1000}}, "model counts must count characters of the alphabet only"),
+    ("char_counts", {"a": 1, "z": 1000}, "model char_counts must count characters of the alphabet only"),
 ])
 def test_load_rejects_a_field_of_the_wrong_type(tmp_path, field, value, message):
     path = tmp_path / "model.json"

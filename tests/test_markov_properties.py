@@ -11,7 +11,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from puzzletext import markov  # noqa: E402
+from puzzletext import _util  # noqa: E402
 from puzzletext.markov import END_TOKEN, sample, sampler, train  # noqa: E402
 
 from test_markov import cut, naive_train  # noqa: E402
@@ -76,14 +76,14 @@ def test_train_matches_per_position_counts(text, order):
     beyond=st.booleans(),
 )
 def test_train_over_pieces_matches_whole_text(text, cuts, chunk, order, beyond):
-    """Any cut of the text into pieces, with chunks of a few characters so
-    that lines cross chunk edges, CR-only breaks, texts without a final
-    newline, and orders past the text's length."""
+    """Any cut of the text into pieces, and the whole str cut into pieces of
+    a few characters, so that lines cross piece edges; CR-only breaks,
+    texts without a final newline, and orders past the text's length."""
     if beyond:
         order = len(text) + 10**12
-    whole = train(text, order, 0.1)
-    assert (whole.counts, whole.char_counts) == naive_train(text, order)
-    with mock.patch.object(markov, "_CHUNK_CHARS", chunk):
+    with mock.patch.object(_util, "PIECE_CHARS", chunk):
+        whole = train(text, order, 0.1)
+        assert (whole.counts, whole.char_counts) == naive_train(text, order)
         assert train(iter(cut(text, cuts)), order, 0.1) == whole
 
 

@@ -232,6 +232,41 @@ def test_bfs_on_mazes_with_loops_matches_naive_bfs():
         assert validate_path(looped, solve_maze(looped, "dfs")).ok
 
 
+def naive_dfs(maze):
+    """Coordinate stack search that claims a cell when it is pushed and
+    pushes its neighbors in W, S, E, N order, so N is explored first."""
+    came_from = {maze.entry: None}
+    stack = [maze.entry]
+    while stack:
+        x, y = stack.pop()
+        for token in (LEFT, DOWN, RIGHT, UP):
+            dx, dy, bit = _OFFSETS[token]
+            nx, ny = x + dx, y + dy
+            if (not maze.walls[y][x] & bit and 0 <= nx < maze.width and 0 <= ny < maze.height
+                    and (nx, ny) not in came_from):
+                came_from[(nx, ny)] = ((x, y), token)
+                stack.append((nx, ny))
+    steps = []
+    cell = maze.exit
+    while came_from[cell] is not None:
+        cell, token = came_from[cell]
+        steps.append(token)
+    return tuple(reversed(steps))
+
+
+def test_dfs_on_mazes_with_loops_matches_naive_dfs():
+    # on a perfect maze DFS and BFS return the one path; loops tell them apart
+    rng = random.Random(78)
+    differs = 0
+    for _ in range(300):
+        maze = generate_maze(rng.randrange(10**6), rng.randint(2, 8), rng.randint(2, 8))
+        looped = knock_out_walls(maze, rng, rng.randint(1, 12))
+        path = solve_maze(looped, "dfs")
+        assert path == naive_dfs(looped)
+        differs += path != solve_maze(looped, "bfs")
+    assert differs >= 20
+
+
 # --- path validation ---
 
 
