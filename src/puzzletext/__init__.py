@@ -11,8 +11,6 @@ from .cube import (
     FACES,
     SOLVED_FACELETS,
     Formula,
-    Move,
-    Turn,
     apply_formula,
     apply_move,
     decode_facelets,
@@ -60,10 +58,8 @@ __all__ = [
     "Formula",
     "Maze",
     "MazePath",
-    "Move",
     "PuzzleRecord",
     "SampleVerdict",
-    "Turn",
     "Violation",
     "aggregate",
     "apply_formula",

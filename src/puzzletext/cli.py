@@ -227,13 +227,14 @@ def build_parser() -> _Parser:
         lambda a: corpus_mod.build_cube_corpus(a.seed, a.total, a.max_scramble),
         ("--max-scramble", dict(type=_number(int, 1), default=5)),
     )
+    clues = _number(int, sudoku_mod.MIN_CLUES, below=sudoku_mod.MAX_CLUES + 1)
     add_gen(
         "sudoku", "sudoku puzzle/solution pairs", 1000,
         lambda a: corpus_mod.build_sudoku_corpus(
             a.seed, a.total, (a.clue_min, a.clue_max), require_unique=not a.allow_multiple
         ),
-        ("--clue-min", dict(type=_number(int, 17, below=81), default=25)),
-        ("--clue-max", dict(type=_number(int, 17, below=81), default=35)),
+        ("--clue-min", dict(type=clues, default=25)),
+        ("--clue-max", dict(type=clues, default=35)),
         ("--allow-multiple", dict(action="store_true", help="skip the uniqueness check")),
     )
     add_gen(

@@ -30,6 +30,8 @@ from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_
 from .cube_solver import solve
 from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
 from .sudoku import (
+    MAX_CLUES,
+    MIN_CLUES,
     _clue_changed,
     _is_grid81,
     count_violations,
@@ -135,7 +137,7 @@ def parse_record(text: str) -> PuzzleRecord:
 
 def _cube_record(params) -> PuzzleRecord:
     seed, length, max_scramble = params
-    scramble = random_scramble(seed, length, max_length=max_scramble)
+    scramble = random_scramble(seed, length)
     state = apply_formula(SOLVED_FACELETS, scramble)
     # A scramble of length L has a solution of at most L moves.
     solution = solve(state, max_depth=max_scramble)
@@ -184,8 +186,10 @@ def build_sudoku_corpus(
     """Seeded puzzle/solution pairs with clue counts drawn uniformly from
     clue_range (inclusive)."""
     low, high = clue_range
-    if not 17 <= low <= high <= 80:
-        raise ValueError(f"clue range must satisfy 17 <= low <= high <= 80, got {clue_range}")
+    if not MIN_CLUES <= low <= high <= MAX_CLUES:
+        raise ValueError(
+            f"clue range must satisfy {MIN_CLUES} <= low <= high <= {MAX_CLUES}, got {clue_range}"
+        )
     master = random.Random(rng_seed)
     params = (
         (master.getrandbits(63), master.randint(low, high), require_unique)

@@ -7,15 +7,14 @@ solved cube reads as nine U's, nine R's, and so on.
 
 Moves use the common face-turn grammar: a bare letter ("R") is a clockwise
 quarter turn, a letter with an ASCII apostrophe ("R'") the counterclockwise
-quarter turn, and a letter with a 2 ("F2") a half turn. Formulas are
-move tokens separated by one or more ASCII spaces (U+0020); tabs, newlines
-and other Unicode whitespace are not separators.
+quarter turn, and a letter with a 2 ("F2") a half turn. A move is its token
+and a formula a tuple of tokens. In text, tokens are separated by one or
+more ASCII spaces (U+0020); tabs, newlines and other Unicode whitespace are
+not separators.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from enum import IntEnum
 
 from .cube_tables import CLOCKWISE_PERMS
 
@@ -70,39 +69,18 @@ class ScrambleLengthError(ValueError):
     pass
 
 
-class Turn(IntEnum):
-    """Quarter-turn multiples applied clockwise: R is 1, R2 is 2, R' is 3."""
+# A formula is an ordered, possibly empty, tuple of move tokens.
+Formula = tuple[str, ...]
 
-    CW90 = 1
-    HALF180 = 2
-    CCW90 = 3
+_SUFFIXES = ("", "2", "'")  # quarter turn clockwise, half turn, counterclockwise
+ALL_MOVES: Formula = tuple(face + s for face in FACES for s in _SUFFIXES)
 
-
-_TURN_TO_SUFFIX = {Turn.CW90: "", Turn.HALF180: "2", Turn.CCW90: "'"}
-
-
-@dataclass(frozen=True, slots=True)
-class Move:
-    face: str
-    turn: Turn
-
-    def inverse(self) -> "Move":
-        return Move(self.face, Turn(4 - self.turn))
-
-    def __str__(self) -> str:
-        return self.face + _TURN_TO_SUFFIX[self.turn]
-
-
-# A formula is an ordered, possibly empty, tuple of moves.
-Formula = tuple[Move, ...]
-
-ALL_MOVES: Formula = tuple(
-    Move(face, turn) for face in FACES for turn in (Turn.CW90, Turn.HALF180, Turn.CCW90)
-)
+# Each token to the token that undoes it: R to R', R2 to R2, R' to R.
+_INVERSE = {face + s: face + t for face in FACES for s, t in zip(_SUFFIXES, _SUFFIXES[::-1])}
 
 # The moves a scramble may take after a move on each face, in ALL_MOVES order.
 _CANDIDATES_AFTER = {
-    face: tuple(move for move in ALL_MOVES if move.face != face) for face in FACES
+    face: tuple(move for move in ALL_MOVES if move[0] != face) for face in FACES
 }
 
 
@@ -115,43 +93,40 @@ def _build_move_perms():
     perms = {}
     for face, cw in CLOCKWISE_PERMS.items():
         half = _compose(cw, cw)
-        perms[(face, Turn.CW90)] = cw
-        perms[(face, Turn.HALF180)] = half
-        perms[(face, Turn.CCW90)] = _compose(half, cw)
+        perms[face] = cw
+        perms[face + "2"] = half
+        perms[face + "'"] = _compose(half, cw)
     return perms
 
 
 MOVE_PERMS = _build_move_perms()
 # The same permutations as 54 index bytes. A state's 54 ASCII sticker bytes,
 # padded with STATE_PAD to 256, form a translation table, so
-# MOVE_INDEX[key].translate(state + STATE_PAD) gathers state[perm[i]] for
+# MOVE_INDEX[move].translate(state + STATE_PAD) gathers state[perm[i]] for
 # every i in one C call.
-MOVE_INDEX = {key: bytes(perm) for key, perm in MOVE_PERMS.items()}
+MOVE_INDEX = {move: bytes(perm) for move, perm in MOVE_PERMS.items()}
 STATE_PAD = bytes(256 - 54)
-
-
-# The grammar's 18 tokens, each to its shared Move.
-_TOKEN_MOVES = {str(move): move for move in ALL_MOVES}
 
 
 def parse_formula(text: str) -> Formula:
     """Parse move tokens separated by runs of ASCII spaces; any other
     character, including tabs, newlines and Unicode spaces, raises
     FormulaSyntaxError."""
-    tokens = [token for token in text.split(" ") if token]
-    try:
-        return tuple(map(_TOKEN_MOVES.__getitem__, tokens))
-    except KeyError as exc:
-        token = exc.args[0]  # the first token not in the table
-        raise FormulaSyntaxError(tokens.index(token) + 1, token) from None
+    tokens = tuple(filter(None, text.split(" ")))
+    for position, token in enumerate(tokens, 1):
+        if token not in MOVE_INDEX:
+            raise FormulaSyntaxError(position, token)
+    return tokens
 
 
 def format_formula(formula: Formula) -> str:
-    return " ".join(str(move) for move in formula)
+    return " ".join(formula)
 
 
 def inverse_formula(formula: Formula) -> Formula:
-    return tuple(move.inverse() for move in reversed(formula))
+    if isinstance(formula, str):  # a str is 1-character tokens: "RU" would be R, U
+        raise TypeError("a formula is a tuple of move tokens, not a str")
+    return tuple(map(_INVERSE.__getitem__, reversed(formula)))
 
 
 def encode_state(cube: str) -> bytes:
@@ -166,14 +141,16 @@ def encode_state(cube: str) -> bytes:
         raise FaceletAlphabetError(exc.start, cube[exc.start]) from None
 
 
-def apply_move(cube: str, move: Move) -> str:
+def apply_move(cube: str, move: str) -> str:
     return apply_formula(cube, (move,))
 
 
 def apply_formula(cube: str, formula: Formula) -> str:
+    if isinstance(formula, str):  # a str is 1-character tokens: "RU" would be R, U
+        raise TypeError("a formula is a tuple of move tokens, not a str")
     state = encode_state(cube)
     for move in formula:
-        state = MOVE_INDEX[(move.face, move.turn)].translate(state + STATE_PAD)
+        state = MOVE_INDEX[move].translate(state + STATE_PAD)
     return state.decode("ascii")
 
 
@@ -204,16 +181,16 @@ def is_solved(cube: str) -> bool:
     return cube == SOLVED_FACELETS
 
 
-def random_scramble(rng_seed: int, length: int, max_length: int = 5) -> Formula:
+def random_scramble(rng_seed: int, length: int) -> Formula:
     """Seeded scramble of exactly `length` moves, uniform over the 18-move
     set, with no two consecutive moves on the same face."""
-    if not 1 <= length <= max_length:
-        raise ScrambleLengthError(f"length must be in 1..{max_length}, got {length}")
+    if length < 1:
+        raise ScrambleLengthError(f"length must be at least 1, got {length}")
     rng = random.Random(rng_seed)
     move = rng.choice(ALL_MOVES)
     moves = [move]
     for _ in range(length - 1):
-        move = rng.choice(_CANDIDATES_AFTER[move.face])
+        move = rng.choice(_CANDIDATES_AFTER[move[0]])
         moves.append(move)
     return tuple(moves)
 

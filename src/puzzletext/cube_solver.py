@@ -31,6 +31,7 @@ from .cube import (
     MOVE_INDEX,
     SOLVED_FACELETS,
     STATE_PAD,
+    _INVERSE,
     Formula,
     encode_state,
 )
@@ -38,7 +39,8 @@ from .cube import (
 TABLE_DEPTH = 3
 _HASH_MASK = (1 << 20) - 1  # one bit per hash bucket: a 128 KB bitset
 
-_MOVES_WITH_INDEX = tuple((move, MOVE_INDEX[(move.face, move.turn)]) for move in ALL_MOVES)
+# Each move with its face, so the search compares a precomputed letter.
+_MOVES_WITH_INDEX = tuple((move, move[0], MOVE_INDEX[move]) for move in ALL_MOVES)
 
 
 class DepthExceeded(RuntimeError):
@@ -53,19 +55,18 @@ class DepthExceeded(RuntimeError):
 def _solution_table() -> tuple[dict[bytes, Formula], bytearray]:
     """The solution table, and the bitset marking every state one turn
     beyond it."""
-    indexes = dict(_MOVES_WITH_INDEX)
     solved = SOLVED_FACELETS.encode("ascii")
     table = {solved: ()}
     frontier = [solved]
     for _ in range(TABLE_DEPTH):
         level = {}
-        # Turning a parent by move.inverse() reaches a child that `move`
-        # takes back to the parent. Trying the moves in ALL_MOVES order and
-        # keeping the first parent found gives each child the first move
-        # that brings it one turn closer.
+        # Turning a parent by the inverse of `move` reaches a child that
+        # `move` takes back to the parent. Trying the moves in ALL_MOVES
+        # order and keeping the first parent found gives each child the
+        # first move that brings it one turn closer.
         padded = [parent + STATE_PAD for parent in frontier]
         for move in ALL_MOVES:
-            index = indexes[move.inverse()]
+            index = MOVE_INDEX[_INVERSE[move]]
             for parent, padded_parent in zip(frontier, padded):
                 child = index.translate(padded_parent)
                 if child not in table and child not in level:
@@ -75,10 +76,10 @@ def _solution_table() -> tuple[dict[bytes, Formula], bytearray]:
     beyond = bytearray((_HASH_MASK + 1) // 8)
     for parent in frontier:
         # Turns of the face that brings the parent closer stay in the table.
-        closer_face = table[parent][0].face
+        closer_face = table[parent][0][0]
         padded = parent + STATE_PAD
-        for move, index in _MOVES_WITH_INDEX:
-            if move.face == closer_face:
+        for _, face, index in _MOVES_WITH_INDEX:
+            if face == closer_face:
                 continue
             child = index.translate(padded)
             if child not in table:
@@ -102,11 +103,11 @@ def _search(facelets: bytes, g: int, threshold: int, last_face, table, beyond) -
         if not beyond[bucket >> 3] & (1 << (bucket & 7)):
             return None
     padded = facelets + STATE_PAD
-    for move, index in _MOVES_WITH_INDEX:
-        if move.face == last_face:
+    for move, face, index in _MOVES_WITH_INDEX:
+        if face == last_face:
             continue
         child = index.translate(padded)
-        found = _search(child, g + 1, threshold, move.face, table, beyond)
+        found = _search(child, g + 1, threshold, face, table, beyond)
         if found is not None:
             found.insert(0, move)
             return found

@@ -12,6 +12,8 @@ from itertools import compress, islice, product
 from operator import itemgetter
 from typing import NamedTuple
 
+MIN_CLUES, MAX_CLUES = 17, 80  # fewer than 17 never pins one solution; 81 leaves nothing to solve
+
 ROW_UNITS = tuple(tuple(r * 9 + c for c in range(9)) for r in range(9))
 COLUMN_UNITS = tuple(tuple(r * 9 + c for r in range(9)) for c in range(9))
 BLOCK_UNITS = tuple(
@@ -292,8 +294,8 @@ def generate_puzzle(
     has one known completion, so then it stays unique. Retries with fresh
     grids before giving up.
     """
-    if not 17 <= clues <= 80:
-        raise ValueError(f"clues must be in 17..80, got {clues}")
+    if not MIN_CLUES <= clues <= MAX_CLUES:
+        raise ValueError(f"clues must be in {MIN_CLUES}..{MAX_CLUES}, got {clues}")
     rng = random.Random(rng_seed)
     for _ in range(max_attempts):
         solution = next(_completions([0] * 81, [0] * 27, rng))

@@ -12,6 +12,7 @@ from puzzletext.cube import (
     ALL_MOVES,
     CENTER_INDICES,
     FACES,
+    MOVE_INDEX,
     MOVE_PERMS,
     SOLVED_FACELETS,
     FaceletAlphabetError,
@@ -19,9 +20,7 @@ from puzzletext.cube import (
     FaceletCountError,
     FaceletLengthError,
     FormulaSyntaxError,
-    Move,
     ScrambleLengthError,
-    Turn,
     apply_formula,
     apply_move,
     decode_facelets,
@@ -39,7 +38,7 @@ SOLVED = SOLVED_FACELETS
 
 
 def random_state(seed, length=14):
-    return apply_formula(SOLVED, random_scramble(seed, length, max_length=length))
+    return apply_formula(SOLVED, random_scramble(seed, length))
 
 
 # --- permutation tables vs the geometric oracle ---
@@ -70,11 +69,7 @@ def test_centers_fixed_in_all_18_move_perms():
 
 def test_parse_formula_tokens():
     formula = parse_formula("R U' F2")
-    assert formula == (
-        Move("R", Turn.CW90),
-        Move("U", Turn.CCW90),
-        Move("F", Turn.HALF180),
-    )
+    assert formula == ("R", "U'", "F2")
 
 
 def test_parse_empty_formula():
@@ -120,9 +115,9 @@ def test_parse_rejects_malformed_tokens(bad):
 
 
 def test_format_formula():
-    assert format_formula((Move("R", Turn.CW90), Move("U", Turn.CCW90))) == "R U'"
+    assert format_formula(("R", "U'")) == "R U'"
     assert format_formula(()) == ""
-    assert format_formula((Move("F", Turn.HALF180),)) == "F2"
+    assert format_formula(("F2",)) == "F2"
 
 
 def test_parse_format_round_trip_random():
@@ -138,35 +133,58 @@ def test_inverse_formula():
     assert inverse_formula(()) == ()
 
 
+def test_all_moves_order_is_pinned():
+    # The solver labels each state with its first optimal formula in this order.
+    assert ALL_MOVES == (
+        "U", "U2", "U'", "R", "R2", "R'", "F", "F2", "F'",
+        "D", "D2", "D'", "B", "B2", "B'", "L", "L2", "L'",
+    )
+    assert set(MOVE_INDEX) == set(MOVE_PERMS) == set(ALL_MOVES)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: apply_formula(SOLVED, "RU"),
+    lambda: apply_formula(SOLVED, "R"),
+    lambda: inverse_formula("RU"),
+], ids=["apply_formula", "apply_formula_one_token", "inverse_formula"])
+def test_a_str_is_not_a_formula(call):
+    # A str is a sequence of 1-character tokens: "RU" must not turn R then U.
+    with pytest.raises(TypeError):
+        call()
+
+
 # --- move application ---
 
 
 def test_move_then_inverse_is_identity():
+    state = random_state(7)
     for move in ALL_MOVES:
-        assert apply_move(apply_move(SOLVED, move), move.inverse()) == SOLVED
+        (inverse,) = inverse_formula((move,))
+        assert inverse[0] == move[0]
+        assert apply_move(apply_move(state, move), inverse) == state
+        assert apply_move(apply_move(state, inverse), move) == state
 
 
 def test_four_quarter_turns_identity():
     for face in FACES:
         state = SOLVED
         for _ in range(4):
-            state = apply_move(state, Move(face, Turn.CW90))
+            state = apply_move(state, face)
         assert state == SOLVED
 
 
 def test_ccw_is_three_cw_and_half_is_two_cw():
     for face in FACES:
-        cw = Move(face, Turn.CW90)
-        three = apply_move(apply_move(apply_move(SOLVED, cw), cw), cw)
-        assert apply_move(SOLVED, Move(face, Turn.CCW90)) == three
-        two = apply_move(apply_move(SOLVED, cw), cw)
-        assert apply_move(SOLVED, Move(face, Turn.HALF180)) == two
+        three = apply_move(apply_move(apply_move(SOLVED, face), face), face)
+        assert apply_move(SOLVED, face + "'") == three
+        two = apply_move(apply_move(SOLVED, face), face)
+        assert apply_move(SOLVED, face + "2") == two
 
 
 def test_u_move_matches_oracle_permutation(table_deriver):
     perm = table_deriver.clockwise_permutations()["U"]
     expected = "".join(SOLVED_FACELETS[i] for i in perm)
-    turned = apply_move(SOLVED, Move("U", Turn.CW90))
+    turned = apply_move(SOLVED, "U")
     assert turned == expected
     # the U block itself stays all-U; the four side faces swap top rows
     assert turned[:9] == "U" * 9
@@ -188,7 +206,7 @@ def test_apply_formula_folds_left_to_right():
 
 def reference_move(state, move):
     """One turn as a per-sticker gather over MOVE_PERMS."""
-    return "".join(state[i] for i in MOVE_PERMS[(move.face, move.turn)])
+    return "".join(state[i] for i in MOVE_PERMS[move])
 
 
 def test_apply_move_gathers_by_its_permutation():
@@ -298,7 +316,7 @@ def test_decode_center_error():
 
 def test_is_solved():
     assert is_solved(SOLVED)
-    assert not is_solved(apply_move(SOLVED, Move("R", Turn.CW90)))
+    assert not is_solved(apply_move(SOLVED, "R"))
 
 
 def test_no_short_scramble_reaches_identity():
@@ -308,11 +326,11 @@ def test_no_short_scramble_reaches_identity():
         next_frontier = []
         for state, last_face in frontier:
             for move in ALL_MOVES:
-                if move.face == last_face:
+                if move[0] == last_face:
                     continue
                 child = apply_move(state, move)
                 assert not is_solved(child)
-                next_frontier.append((child, move.face))
+                next_frontier.append((child, move[0]))
         frontier = next_frontier
     # sampled at depths 4 and 5
     for seed in range(100):
@@ -336,15 +354,13 @@ def test_scramble_deterministic_per_seed():
 def test_scramble_never_repeats_a_face():
     for seed in range(10000):
         a, b = random_scramble(seed, 2)
-        assert a.face != b.face
+        assert a[0] != b[0]
 
 
 def test_scramble_length_bounds():
     with pytest.raises(ScrambleLengthError):
         random_scramble(1, 0)
-    with pytest.raises(ScrambleLengthError):
-        random_scramble(1, 6)
-    assert len(random_scramble(1, 6, max_length=6)) == 6
+    assert len(random_scramble(1, 6)) == 6
 
 
 # --- rendering ---

@@ -36,12 +36,12 @@ def bfs_distances(max_depth):
         next_frontier = []
         for state, last_face in frontier:
             for move in ALL_MOVES:
-                if move.face == last_face:
+                if move[0] == last_face:
                     continue
                 child = apply_move(state, move)
                 if child not in distances:
                     distances[child] = depth
-                    next_frontier.append((child, move.face))
+                    next_frontier.append((child, move[0]))
         frontier = next_frontier
     return distances
 
@@ -75,8 +75,8 @@ def reference_solve(state, max_depth, table):
         if g + bound > threshold:
             return None
         for move in ALL_MOVES:
-            if move.face != last_face:
-                found = search(apply_move(state, move), g + 1, threshold, move.face)
+            if move[0] != last_face:
+                found = search(apply_move(state, move), g + 1, threshold, move[0])
                 if found is not None:
                     return [move] + found
         return None
@@ -135,7 +135,7 @@ def test_solve_never_repeats_a_face_consecutively():
         state = apply_formula(SOLVED, random_scramble(seed, 5))
         solution = solve(state, 6)
         for a, b in zip(solution, solution[1:]):
-            assert a.face != b.face
+            assert a[0] != b[0]
 
 
 def test_depth_exceeded():
@@ -159,7 +159,7 @@ def test_solver_bytes_are_pinned():
     for seed, max_scramble, total in ((11, 5, 40), (29, 6, 24)):
         digest.update(corpus_text(build_cube_corpus(seed, total, max_scramble)).encode("utf-8"))
     for seed in range(60):
-        state = apply_formula(SOLVED, random_scramble(seed, seed % 6 + 1, max_length=6))
+        state = apply_formula(SOLVED, random_scramble(seed, seed % 6 + 1))
         for max_depth in (0, 2, 4, 6):
             try:
                 text = format_formula(solve(state, max_depth))
@@ -183,7 +183,7 @@ def test_solve_matches_reference_ida_star(oracle_depth4):
     distances, labels = oracle_depth4
     table = {state: labels[state] for state, distance in distances.items() if distance <= 3}
     for seed in range(500):
-        state = apply_formula(SOLVED, random_scramble(seed, seed % 7 + 1, max_length=7))
+        state = apply_formula(SOLVED, random_scramble(seed, seed % 7 + 1))
         for max_depth in range(7):
             try:
                 got = solve(state, max_depth)

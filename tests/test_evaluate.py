@@ -10,8 +10,6 @@ from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cube import (
     SOLVED_FACELETS,
-    Move,
-    Turn,
     apply_formula,
     apply_move,
     format_formula,
@@ -61,7 +59,7 @@ def test_progress_solved_cube():
 def test_progress_after_one_u_turn():
     # U and D faces stay whole; each side face keeps its two lower rows
     # and loses all three columns: 6 + 6 + 4 * 2 = 20 uniform lines
-    turned = apply_move(SOLVED, Move("U", Turn.CW90))
+    turned = apply_move(SOLVED, "U")
     assert cube_progress(turned) == (2, 20)
 
 
@@ -76,7 +74,7 @@ def test_six_solved_faces_iff_solved():
 
 
 def test_classify_cube_correct():
-    state = apply_move(SOLVED, Move("R", Turn.CW90))
+    state = apply_move(SOLVED, "R")
     verdict = classify_cube(state, "R'")
     assert verdict.status == "correct"
     assert verdict.progress == (6, 36)
@@ -92,7 +90,7 @@ def test_classify_cube_invalid_syntax():
 
 def test_classify_cube_non_ascii_space_is_invalid():
     # R' solves the state, so only the separator makes these invalid.
-    state = apply_move(SOLVED, Move("R", Turn.CW90))
+    state = apply_move(SOLVED, "R")
     for separator in ("\t", "\u3000"):
         verdict = classify_cube(state, f"R'{separator}U U'")
         assert verdict.status == "invalid"

@@ -12,8 +12,6 @@ from puzzletext.cube import (  # noqa: E402
     FACES,
     SOLVED_FACELETS,
     FormulaSyntaxError,
-    Move,
-    Turn,
     apply_formula,
     parse_formula,
 )
@@ -183,17 +181,15 @@ def test_parse_maze_returns_a_maze_or_raises_a_parse_error(text):
     assert path is None or set(path) <= {UP, RIGHT, DOWN, LEFT}
 
 
-SUFFIX_TURNS = {"": Turn.CW90, "2": Turn.HALF180, "'": Turn.CCW90}
+TURN_SUFFIXES = ("", "2", "'")
 
 
 def reference_parse_formula(text):
-    moves = []
     tokens = [token for token in text.split(" ") if token]
     for position, token in enumerate(tokens, start=1):
-        if token[0] not in FACES or token[1:] not in SUFFIX_TURNS:
+        if token[0] not in FACES or token[1:] not in TURN_SUFFIXES:
             raise FormulaSyntaxError(position, token)
-        moves.append(Move(token[0], SUFFIX_TURNS[token[1:]]))
-    return tuple(moves)
+    return tuple(tokens)
 
 
 def formula_outcome(parse, text):
