@@ -24,7 +24,6 @@ from .cube import (
 from .cube_solver import DepthExceeded, solve
 from .corpus import CorpusSplit, PuzzleRecord, build_cube_corpus, build_maze_corpus, build_sudoku_corpus, dedup_and_split
 from .evaluate import (
-    EvalReport,
     SampleVerdict,
     aggregate,
     classify_cube,
@@ -54,7 +53,6 @@ __all__ = [
     "CharMarkovModel",
     "CorpusSplit",
     "DepthExceeded",
-    "EvalReport",
     "Formula",
     "Maze",
     "MazePath",

@@ -193,9 +193,7 @@ def _cmd_score(args) -> int:
     report = evaluate_mod.aggregate(verdicts, params)
     print(evaluate_mod.format_report(report))
     if args.json:
-        atomic_write_text(
-            args.json, json.dumps(evaluate_mod.report_to_dict(report), sort_keys=True, indent=2) + "\n"
-        )
+        atomic_write_text(args.json, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return 0
 
 

@@ -35,6 +35,7 @@ from .maze import (
 from .sudoku import _clue_changed, count_violations, parse_grid81
 
 INVALID, INCORRECT, CORRECT = "invalid", "incorrect", "correct"
+_NOT_BROKEN_DOWN = frozenset(("kind", "seed", "source_line"))
 
 
 class BadPromptError(ValueError):
@@ -58,17 +59,6 @@ class SampleVerdict:
     status: str  # invalid / incorrect / correct
     reason: str | None = None  # set only for invalid samples
     progress: object = None  # kind-specific metric; None for invalid samples
-
-
-@dataclass(slots=True)
-class EvalReport:
-    total: int
-    invalid: int
-    incorrect: int
-    correct: int
-    percentages: dict[str, float]
-    progress_histogram: dict[str, dict[str, int]]  # kind -> bucket -> count
-    breakdown: dict[str, dict[str, dict[str, int]]]  # param -> value -> class -> count
 
 
 # per face: where its nine stickers start, the face solved, and one line of it
@@ -188,12 +178,14 @@ def _progress_bucket(verdict: SampleVerdict) -> str:
     return f"{a}/{b}"
 
 
-def aggregate(
-    verdicts: list[SampleVerdict], params: list[dict] | None = None
-) -> EvalReport:
-    """Counts, percentages (one decimal, halves away from zero), progress
-    histograms per kind, and class breakdowns per generation parameter when
-    a parallel list of per-sample parameter dicts is supplied."""
+def aggregate(verdicts: list[SampleVerdict], params: list[dict] | None = None) -> dict:
+    """The report, as the JSON object that `score --json` writes: total,
+    counts and percentages (one decimal, halves away from zero) per class,
+    progress histograms per kind (kind -> bucket -> count), and, when a
+    parallel list of per-sample parameter dicts is supplied, class counts
+    per generation parameter (param -> value -> class -> count). `kind`,
+    `seed` and `source_line` are not broken down: a seed or a line names one
+    record, not a generation parameter."""
     if params is not None and len(params) != len(verdicts):
         raise ValueError(f"meta sidecar has {len(params)} rows, expected {len(verdicts)}")
     if not verdicts:
@@ -209,50 +201,29 @@ def aggregate(
             kind_hist[bucket] = kind_hist.get(bucket, 0) + 1
         if params is not None:
             for key, value in params[i].items():
-                if key in ("kind", "seed"):
+                if key in _NOT_BROKEN_DOWN:
                     continue
                 per_value = breakdown.setdefault(key, {}).setdefault(str(value), {})
                 per_value[verdict.status] = per_value.get(verdict.status, 0) + 1
     total = len(verdicts)
-    assert counts[INVALID] + counts[INCORRECT] + counts[CORRECT] == total
-    return EvalReport(
-        total=total,
-        invalid=counts[INVALID],
-        incorrect=counts[INCORRECT],
-        correct=counts[CORRECT],
-        percentages={cls: _percentage(n, total) for cls, n in counts.items()},
-        progress_histogram=histogram,
-        breakdown=breakdown,
-    )
-
-
-def report_to_dict(report: EvalReport) -> dict:
     return {
-        "total": report.total,
-        "counts": {
-            INVALID: report.invalid,
-            INCORRECT: report.incorrect,
-            CORRECT: report.correct,
-        },
-        "percentages": report.percentages,
-        "progress_histogram": report.progress_histogram,
-        "breakdown": report.breakdown,
+        "total": total,
+        "counts": counts,
+        "percentages": {cls: _percentage(n, total) for cls, n in counts.items()},
+        "progress_histogram": histogram,
+        "breakdown": breakdown,
     }
 
 
-def format_report(report: EvalReport) -> str:
-    lines = [f"total samples: {report.total}"]
-    for cls, count in (
-        (CORRECT, report.correct),
-        (INCORRECT, report.incorrect),
-        (INVALID, report.invalid),
-    ):
-        lines.append(f"  {cls:<9} {count:>6}  ({report.percentages[cls]}%)")
-    for kind, hist in sorted(report.progress_histogram.items()):
+def format_report(report: dict) -> str:
+    lines = [f"total samples: {report['total']}"]
+    for cls in (CORRECT, INCORRECT, INVALID):
+        lines.append(f"  {cls:<9} {report['counts'][cls]:>6}  ({report['percentages'][cls]}%)")
+    for kind, hist in sorted(report["progress_histogram"].items()):
         lines.append(f"progress ({kind}):")
         for bucket, count in sorted(hist.items()):
             lines.append(f"  {bucket:<8} {count}")
-    for param, values in sorted(report.breakdown.items()):
+    for param, values in sorted(report["breakdown"].items()):
         lines.append(f"breakdown by {param}:")
         for value, classes in sorted(values.items()):
             parts = ", ".join(f"{cls}={classes.get(cls, 0)}" for cls in (CORRECT, INCORRECT, INVALID))

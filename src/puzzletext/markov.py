@@ -158,7 +158,11 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
             if temperature != 1.0:
                 logs = [math.log(w) / temperature for w in weights]
                 peak = max(logs)
-                weights = [math.exp(l - peak) for l in logs]
+                if peak == -math.inf:  # every log overflowed: take the zero-temperature limit
+                    top = max(weights)
+                    weights = [float(w == top) for w in weights]
+                else:
+                    weights = [math.exp(l - peak) for l in logs]
                 scale = sum(weights)
                 weights = [w / scale for w in weights]
             cumulative = tables[key] = list(accumulate(weights))

@@ -302,8 +302,8 @@ def test_c7_percentage_rounding_on_reference_counts():
             SampleVerdict("cube", status, None, progress) for _ in range(count)
         )
     report = aggregate(verdicts)
-    assert report.total == 601
-    assert report.percentages == {"invalid": 1.8, "incorrect": 95.8, "correct": 2.3}
+    assert report["total"] == 601
+    assert report["percentages"] == {"invalid": 1.8, "incorrect": 95.8, "correct": 2.3}
     print("PASS criterion 7: counts 11/576/14 -> 1.8% / 95.8% / 2.3%")
 
 

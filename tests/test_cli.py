@@ -407,6 +407,23 @@ def test_ingest_numbers_rows_by_physical_line(tmp_path, capsys):
     assert [m["source_line"] for m in corpus.read_meta(f"{out}.meta.jsonl")] == [3, 6]
 
 
+def test_score_with_ingested_meta_has_no_per_line_breakdown(tmp_path, capsys):
+    csv_path = tmp_path / "games.csv"
+    csv_path.write_text(f"quizzes,solutions\n{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n" * 2, encoding="utf-8")
+    out = tmp_path / "sudoku.txt"
+    assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(out)]) == 0
+    records = corpus.read_corpus(out)
+    prompts, outputs = tmp_path / "p.txt", tmp_path / "o.txt"
+    prompts.write_text("".join(r.prompt + "\n" for r in records), encoding="utf-8")
+    outputs.write_text("".join(r.response + "\n" for r in records), encoding="utf-8")
+    capsys.readouterr()
+    argv = ["score", "sudoku", "--prompts", str(prompts), "--outputs", str(outputs),
+            "--meta", f"{out}.meta.jsonl", "--json", str(tmp_path / "report.json")]
+    assert run(argv) == 0
+    assert "breakdown" not in capsys.readouterr().out
+    assert json.loads(read(tmp_path / "report.json"))["breakdown"] == {}
+
+
 # --- train / sample / score ---
 
 

@@ -31,7 +31,6 @@ from puzzletext.evaluate import (
     cube_progress,
     format_report,
     ingest_external_outputs,
-    report_to_dict,
 )
 from puzzletext.maze import EAST, MAX_MAZE_SIDE, NORTH, SOUTH, WEST, Maze, generate_maze, render_maze, solve_maze
 from puzzletext.maze import _body_line, _grid, _wall_line
@@ -266,18 +265,18 @@ def test_percentage_matches_decimal_half_up():
 
 def test_aggregate_rounds_reference_counts_to_one_decimal():
     report = aggregate(make_verdicts(11, 576, 14))
-    assert report.total == 601
-    assert report.percentages == {"invalid": 1.8, "incorrect": 95.8, "correct": 2.3}
+    assert report["total"] == 601
+    assert report["percentages"] == {"invalid": 1.8, "incorrect": 95.8, "correct": 2.3}
 
 
 def test_aggregate_single_correct():
     report = aggregate(make_verdicts(0, 0, 1))
-    assert report.percentages == {"invalid": 0.0, "incorrect": 0.0, "correct": 100.0}
+    assert report["percentages"] == {"invalid": 0.0, "incorrect": 0.0, "correct": 100.0}
 
 
 def test_aggregate_partition():
     report = aggregate(make_verdicts(3, 5, 2))
-    assert report.invalid + report.incorrect + report.correct == report.total == 10
+    assert sum(report["counts"].values()) == report["total"] == 10
 
 
 def test_aggregate_empty_rejected():
@@ -302,21 +301,29 @@ def test_aggregate_breakdown_by_scramble_length():
         length = seed % 3 + 1
         state = apply_formula(SOLVED, random_scramble(seed, length))
         verdicts.append(classify_cube(state, ""))
-        params.append({"kind": "cube", "seed": seed, "scramble_length": length})
+        params.append({"kind": "cube", "seed": seed, "source_line": seed + 2, "scramble_length": length})
     report = aggregate(verdicts, params)
-    assert set(report.breakdown) == {"scramble_length"}
+    # a seed or a source line names one record, not a generation parameter
+    assert set(report["breakdown"]) == {"scramble_length"}
     assert sum(
-        sum(classes.values()) for classes in report.breakdown["scramble_length"].values()
+        sum(classes.values()) for classes in report["breakdown"]["scramble_length"].values()
     ) == 12
 
 
 def test_report_text_and_dict():
     report = aggregate(make_verdicts(1, 2, 3))
-    text = format_report(report)
-    assert "total samples: 6" in text
-    payload = report_to_dict(report)
-    assert payload["counts"] == {"invalid": 1, "incorrect": 2, "correct": 3}
-    json.dumps(payload)  # must be serializable
+    assert report["counts"] == {"invalid": 1, "incorrect": 2, "correct": 3}
+    # the report is a JSON value, and the text is printed from that same dict
+    decoded = json.loads(json.dumps(report))
+    assert decoded == report
+    text = format_report(decoded)
+    assert text == format_report(report)
+    assert text.splitlines()[:4] == [
+        "total samples: 6",
+        "  correct        3  (50.0%)",
+        "  incorrect      2  (33.3%)",
+        "  invalid        1  (16.7%)",
+    ]
 
 
 # --- external output ingestion ---

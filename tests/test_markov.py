@@ -205,6 +205,15 @@ def test_greedy_sampling_alternates():
     assert sample(model, "a", max_chars=6, rng_seed=0, temperature=1e-9) == "bababa"
 
 
+@pytest.mark.parametrize("temperature", [1e-310, 5e-324])
+def test_subnormal_temperature_samples_greedily(temperature):
+    # every log(p) / temperature overflows to -inf; the limit keeps the likeliest characters
+    model = train("ababab", 1, 0.1)
+    assert sample(model, "a", max_chars=6, rng_seed=0, temperature=temperature) == "bababa"
+    tied = train("abcabc", 0, 0.1)  # a, b and c tie: the draw stays uniform among them
+    assert set(sample(tied, "", max_chars=60, rng_seed=0, temperature=temperature)) == {"a", "b", "c"}
+
+
 def test_sample_appends_exactly_one_char():
     model = train("ababab", 1, 0.1)
     assert len(sample(model, "a", max_chars=1, rng_seed=5)) == 1
