@@ -12,9 +12,10 @@ print("unsolved:")
 print(render_maze(maze))
 print()
 
-# BFS and DFS agree on perfect mazes. The path is written with arrow
-# tokens in the cells it enters; "**" marks the entry.
-path = solve_maze(maze, "bfs")
+# Breadth-first search finds a shortest path, on a perfect maze the only
+# one. The path is written with arrow tokens in the cells it enters; "**"
+# marks the entry.
+path = solve_maze(maze)
 print("solved, path of", len(path), "steps:", " ".join(path))
 print(render_maze(maze, path))
 print()

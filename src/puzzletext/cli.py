@@ -131,7 +131,7 @@ def _read_pieces(path: str) -> Counted:
 
 def _cmd_solve_maze(args) -> int:
     maze, _ = maze_mod.parse_maze("".join(_read_pieces(args.in_path)))
-    path = maze_mod.solve_maze(maze, args.strategy)
+    path = maze_mod.solve_maze(maze)
     print(maze_mod.render_maze(maze, path))
     return 0
 
@@ -269,7 +269,6 @@ def build_parser() -> _Parser:
     g.set_defaults(func=_cmd_solve_sudoku)
     g = solve.add_parser("maze")
     g.add_argument("--in", dest="in_path", default="-", help="maze text file, - for stdin")
-    g.add_argument("--strategy", choices=("bfs", "dfs"), default="bfs")
     g.set_defaults(func=_cmd_solve_maze)
 
     render = sub.add_parser("render", help="render a puzzle to text").add_subparsers(

@@ -135,12 +135,10 @@ def parse_record(text: str) -> PuzzleRecord:
     return PuzzleRecord(_detect_single_line_kind(prompt), prompt, response, {})
 
 
-def _cube_record(params) -> PuzzleRecord:
-    seed, length, max_scramble = params
-    scramble = random_scramble(seed, length)
-    state = apply_formula(SOLVED_FACELETS, scramble)
+def _cube_record(seed: int, length: int) -> PuzzleRecord:
+    state = apply_formula(SOLVED_FACELETS, random_scramble(seed, length))
     # A scramble of length L has a solution of at most L moves.
-    solution = solve(state, max_depth=max_scramble)
+    solution = solve(state, max_depth=length)
     return PuzzleRecord(
         "cube",
         state,
@@ -157,16 +155,14 @@ def build_cube_corpus(rng_seed: int, total: int, max_scramble: int) -> Iterator[
     if total % max_scramble:
         raise DivisibilityError(f"total {total} not divisible by max_scramble {max_scramble}")
     master = random.Random(rng_seed)
-    params = (
-        (master.getrandbits(63), length, max_scramble)
+    return (
+        _cube_record(master.getrandbits(63), length)
         for length in range(1, max_scramble + 1)
         for _ in range(total // max_scramble)
     )
-    return map(_cube_record, params)
 
 
-def _sudoku_record(params) -> PuzzleRecord:
-    seed, clues, require_unique = params
+def _sudoku_record(seed: int, clues: int, require_unique: bool) -> PuzzleRecord:
     puzzle, solution = generate_puzzle(seed, clues, require_unique=require_unique)
     return PuzzleRecord(
         "sudoku",
@@ -191,15 +187,13 @@ def build_sudoku_corpus(
             f"clue range must satisfy {MIN_CLUES} <= low <= high <= {MAX_CLUES}, got {clue_range}"
         )
     master = random.Random(rng_seed)
-    params = (
-        (master.getrandbits(63), master.randint(low, high), require_unique)
+    return (
+        _sudoku_record(master.getrandbits(63), master.randint(low, high), require_unique)
         for _ in range(total)
     )
-    return map(_sudoku_record, params)
 
 
-def _maze_record(params) -> PuzzleRecord:
-    seed, width, height = params
+def _maze_record(seed: int, width: int, height: int) -> PuzzleRecord:
     unsolved, solved = render_maze_pair(*generate_solved_maze(seed, width, height))
     return PuzzleRecord(
         "maze",
@@ -225,8 +219,7 @@ def build_maze_corpus(
                 f"maze sizes must be within 2x2..{MAX_MAZE_SIDE}x{MAX_MAZE_SIDE}, got {width}x{height}"
             )
     master = random.Random(rng_seed)
-    params = ((master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total))
-    return map(_maze_record, params)
+    return (_maze_record(master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total))
 
 
 def ingest_sudoku_csv(path, issues: list[RowIssue] | None = None) -> Iterator[PuzzleRecord]:
@@ -243,7 +236,7 @@ def ingest_sudoku_csv(path, issues: list[RowIssue] | None = None) -> Iterator[Pu
 
 
 def _ingest_rows(path, issues: list[RowIssue]) -> Iterator[PuzzleRecord | None]:
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None or not {"quizzes", "solutions"} <= set(reader.fieldnames):

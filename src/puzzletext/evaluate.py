@@ -158,7 +158,7 @@ def classify_maze(record_text: str) -> SampleVerdict:
     if result.ok:
         return SampleVerdict("maze", CORRECT, progress=1.0)
     try:
-        shortest = len(solve_maze(prompt_maze, "bfs"))
+        shortest = len(solve_maze(prompt_maze))
     except MazeUnreachableError:
         return SampleVerdict("maze", INCORRECT, progress=0.0)
     walked = len(steps) if result.step_index is None else result.step_index  # wrong_endpoint walks every step

@@ -140,7 +140,7 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
     for every unseen context, each built on first use; so a reused sampler
     builds each table once and holds at most len(model.counts) + 1 of them.
     The model is only read, and must not change while in use."""
-    if temperature <= 0:
+    if not temperature > 0:  # NaN included
         raise ValueError("temperature must be > 0")
     alphabet = model.alphabet
     alpha = model.alpha

@@ -11,7 +11,6 @@ are written into the cell they enter using two-character arrow tokens:
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -180,28 +179,23 @@ def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
     return generate_solved_maze(rng_seed, width, height)[0]
 
 
-def solve_maze(maze: Maze, strategy: str = "bfs") -> MazePath:
-    """Entry-to-exit path. BFS returns a shortest path; DFS takes the first
-    path under N, E, S, W neighbor order. For perfect mazes they coincide.
-    Both claim a cell when it is pushed on one frontier: BFS takes its oldest
-    cell, DFS its newest, with neighbors pushed in reverse so N comes first."""
-    if strategy not in ("bfs", "dfs"):
-        raise ValueError(f"strategy must be 'bfs' or 'dfs', got {strategy!r}")
+def solve_maze(maze: Maze) -> MazePath:
+    """Entry-to-exit shortest path, by breadth-first search with neighbors in
+    N, E, S, W order; a cell keeps the step that first reached it. A perfect
+    maze has one simple path, so on it this is that path."""
     grid = _cached(_grid, maze.width, maze.height)(maze.width, maze.height)
     walls = [mask for row in maze.walls for mask in row]
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
-    frontier = deque([0])
-    take, turn = (frontier.popleft, iter) if strategy == "bfs" else (frontier.pop, reversed)
-    while frontier:
-        cell = take()
+    queue = [0]
+    for cell in queue:  # the list grows as it is walked: cells in the order they were reached
         if cell == goal:
             break
         mask = walls[cell]
-        for neighbor, bit, _, token in turn(grid[cell]):
+        for neighbor, bit, _, token in grid[cell]:
             if not mask & bit and neighbor not in came_from:
                 came_from[neighbor] = (cell, token)
-                frontier.append(neighbor)
+                queue.append(neighbor)
     if goal not in came_from:
         raise MazeUnreachableError("exit not reachable from entry")
     steps = []

@@ -264,7 +264,7 @@ def test_c6_maze_properties(maze_sample):
             assert ra != rb  # no cycles
             parent[ra] = rb
 
-        path = solve_maze(maze, "bfs")
+        path = solve_maze(maze)
         if maze.width * maze.height <= 25:
             # exhaustive minimum over all simple entry-to-exit paths
             adjacency = {}

@@ -11,7 +11,7 @@ from conftest import REPO_ROOT, SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cli import run
 from puzzletext.cube import SOLVED_FACELETS, apply_formula, parse_formula
-from puzzletext.maze import generate_maze, parse_maze, render_maze, validate_path
+from puzzletext.maze import NORTH, SOUTH, Maze, generate_maze, parse_maze, render_maze, solve_maze, validate_path
 
 
 def read(path):
@@ -151,10 +151,15 @@ def test_gen_maze_size_out_of_range_is_data_error(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_gen_data_error_leaves_no_file(tmp_path):
+def test_gen_data_error_leaves_no_file(tmp_path, capsys):
     out = tmp_path / "cube.txt"
     code = run(["gen", "cube", "--seed", "1", "--total", "7", "--max-scramble", "5", "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+    out = tmp_path / "sudoku.txt"
+    capsys.readouterr()
+    assert run(["gen", "sudoku", "--seed", "1", "--clue-min", "30", "--clue-max", "25", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: clue range must satisfy 17 <= low <= high <= 80, got (30, 25)\n")
     assert not out.exists()
 
 
@@ -262,10 +267,10 @@ def test_non_utf8_corpus_is_data_error_and_writes_nothing(tmp_path, capsys, comm
 REAL_MAZE_RECORD = corpus._maze_record
 
 
-def maze_record_failing_on_5x5(params):
-    if params[1] == 5:
+def maze_record_failing_on_5x5(seed, width, height):
+    if width == 5:
         raise RuntimeError("no 5x5 mazes today")
-    return REAL_MAZE_RECORD(params)
+    return REAL_MAZE_RECORD(seed, width, height)
 
 
 def assert_left_as_before(tmp_path, files):
@@ -348,6 +353,21 @@ def test_render_and_solve_maze_round_trip(tmp_path, capsys):
     solved = capsys.readouterr().out
     maze, path = parse_maze(solved)
     assert validate_path(maze, path).ok
+
+
+def test_solve_maze_reads_stdin_by_default(tmp_path):
+    perfect = generate_maze(3, 4, 4)
+    walls = [list(row) for row in perfect.walls]
+    for x in range(4):  # open every wall between the second and third rows, which makes loops
+        walls[1][x] &= ~SOUTH
+        walls[2][x] &= ~NORTH
+    maze = Maze(4, 4, tuple(map(tuple, walls)))
+    assert len(solve_maze(maze)) < len(solve_maze(perfect))  # a shortcut, not the perfect maze's path
+    unsolved = tmp_path / "maze.txt"
+    unsolved.write_text(render_maze(maze) + "\n", encoding="utf-8")
+    with open(unsolved, "rb") as stdin:
+        result = python(["-m", "puzzletext.cli", "solve", "maze"], tmp_path, stdin=stdin)
+    assert result.stdout == render_maze(maze, solve_maze(maze)) + "\n"
 
 
 # --- split ---
@@ -792,7 +812,10 @@ TRANSCRIPT_INPUTS = {
 # Re-recorded when `--jobs` was removed and `--clue-min`, `--clue-max` and `render maze
 # --width` got ranges: the `gen <kind>` usage and help texts lost `--jobs`, `--jobs x` is
 # now an unrecognized argument, and `--clue-min 10` and `--width 1` became usage errors.
-PINNED_TRANSCRIPT_SHA256 = "378ea899b762a93818576ad4735bbc2ca6bb1b439d22245569831003f5ab8b02"
+# Re-recorded when the depth-first solver and `solve maze --strategy` were removed: only
+# `solve maze --help`, `--strategy dfs` and `--strategy astar` changed; the last two are
+# now unrecognized arguments.
+PINNED_TRANSCRIPT_SHA256 = "9a7e297d63a3f9993ac655124856a987baa5e00d89921a245d7ff04cfea67bac"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

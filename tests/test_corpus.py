@@ -75,11 +75,17 @@ def test_parse_record_missing_framing():
         parse_record("[WP] abc [RESPONSE] def <|endoftext|>")
     with pytest.raises(FramingError):
         parse_record("<|startoftext|>[WP] abc [RESPONSE] def")
+    with pytest.raises(FramingError, match="multi-line record framing tokens need their own lines"):
+        parse_record("<|startoftext|>[WP] +---+\n[RESPONSE]\n+---+\n<|endoftext|>")
+    with pytest.raises(FramingError, match="single-line record needs spaces around the framing"):
+        parse_record("<|startoftext|>[WP]abc [RESPONSE] def<|endoftext|>")
 
 
 def test_parse_record_unknown_prompt_shape():
     with pytest.raises(RecordKindError):
         parse_record("<|startoftext|>[WP] 12345 [RESPONSE] 12345 <|endoftext|>")
+    with pytest.raises(RecordKindError, match="unknown record kind 'chess'"):
+        serialize_record(PuzzleRecord("chess", "12345", "12345"))
 
 
 def test_parse_record_sudoku_prompt_is_ascii_digits_only():
@@ -114,6 +120,8 @@ def test_cube_corpus_deterministic():
 def test_cube_corpus_divisibility():
     with pytest.raises(DivisibilityError):
         build_cube_corpus(1, 7, 5)
+    with pytest.raises(ValueError, match="max_scramble must be >= 1"):
+        build_cube_corpus(1, 0, 0)
 
 
 def test_single_move_states_number_eighteen():
@@ -162,6 +170,8 @@ def test_maze_corpus_sizes_cycle_and_paths_validate():
 def test_maze_corpus_rejects_oversize():
     with pytest.raises(MazeSizeError):
         build_maze_corpus(1, 2, [(7, 7)])
+    with pytest.raises(ValueError, match="need at least one maze size"):
+        build_maze_corpus(1, 2, [])
 
 
 # --- dedup and split ---
@@ -216,20 +226,26 @@ def test_ingest_sudoku_csv(tmp_path):
     bad_solution = SAMPLE_SUDOKU_SOLUTION[:-1] + (
         "1" if SAMPLE_SUDOKU_SOLUTION[-1] != "1" else "2"
     )
+    incomplete = "0" + SAMPLE_SUDOKU_SOLUTION[1:]
+    relabelled = SAMPLE_SUDOKU_SOLUTION.translate(str.maketrans("12", "21"))  # valid, but not these clues
     csv_path = tmp_path / "games.csv"
     csv_path.write_text(
         "quizzes,solutions\n"
         f"{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n"
         f"{SAMPLE_SUDOKU_PUZZLE[:-1]},{SAMPLE_SUDOKU_SOLUTION}\n"
-        f"{SAMPLE_SUDOKU_PUZZLE},{bad_solution}\n",
+        f"{SAMPLE_SUDOKU_PUZZLE},{bad_solution}\n"
+        f"{SAMPLE_SUDOKU_PUZZLE},{incomplete}\n"
+        f"{SAMPLE_SUDOKU_PUZZLE},{relabelled}\n",
         encoding="utf-8",
     )
     issues = []
     records = list(ingest_sudoku_csv(csv_path, issues))
     assert len(records) == 1
     assert records[0].prompt == SAMPLE_SUDOKU_PUZZLE
-    assert [issue.line for issue in issues] == [3, 4]
+    assert [issue.line for issue in issues] == [3, 4, 5, 6]
     assert "81 characters" in issues[0].reason
+    assert [issue.reason for issue in issues[1:]] == [
+        "solution has repeated digits", "solution is incomplete", "solution conflicts with a puzzle clue"]
 
 
 def test_ingest_strips_ascii_whitespace_only(tmp_path):
@@ -245,6 +261,17 @@ def test_ingest_strips_ascii_whitespace_only(tmp_path):
     records = list(ingest_sudoku_csv(csv_path, issues))
     assert [(r.prompt, r.response) for r in records] == [(SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION)]
     assert [issue.line for issue in issues] == [3, 4]
+
+
+def test_ingest_skips_a_leading_byte_order_mark(tmp_path):
+    csv_path = tmp_path / "games.csv"
+    csv_path.write_text(f"quizzes,solutions\n{SAMPLE_SUDOKU_PUZZLE},{SAMPLE_SUDOKU_SOLUTION}\n", encoding="utf-8-sig")
+    assert csv_path.read_bytes().startswith(b"\xef\xbb\xbfquizzes")
+    issues = []
+    records = list(ingest_sudoku_csv(csv_path, issues))
+    assert [(r.prompt, r.response, r.meta) for r in records] == [
+        (SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION, {"kind": "sudoku", "source_line": 2})]
+    assert issues == []
 
 
 def test_ingest_missing_file():

@@ -106,6 +106,8 @@ def test_oracle_state_counts(oracle_depth2):
 
 def test_solve_solved_is_empty():
     assert solve(SOLVED) == ()
+    with pytest.raises(ValueError, match="max_depth must be >= 0"):
+        solve(SOLVED, -1)
 
 
 def test_solve_single_move_inverse():

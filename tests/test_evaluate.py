@@ -181,6 +181,8 @@ def test_classify_maze_framing_garbage():
     verdict = classify_maze("complete nonsense")
     assert verdict.status == "invalid"
     assert verdict.reason == "framing"
+    (cube,) = corpus.build_cube_corpus(1, 1, 1)  # well framed, but a single-line kind
+    assert classify_maze(corpus.serialize_record(cube)) == classify_maze("complete nonsense")
 
 
 def test_classify_maze_wall_mismatch():
@@ -204,7 +206,7 @@ def test_classify_maze_broken_half():
 
 def test_classify_maze_truncated_path_progress():
     maze = generate_maze(29, 4, 4)
-    path = solve_maze(maze, "bfs")
+    path = solve_maze(maze)
     shortest = len(path)
     solved_lines = render_maze(maze, path).split("\n")
     # blank the arrow written into the exit cell, dropping the final step
@@ -348,6 +350,8 @@ def test_ingest_line_count_mismatch(tmp_path):
     outputs.write_text("R\nR\n", encoding="utf-8")
     with pytest.raises(LineCountMismatchError):
         ingest_external_outputs(prompts, outputs, "cube")
+    with pytest.raises(ValueError, match="unknown kind 'chess'"):
+        ingest_external_outputs(prompts, outputs, "chess")
 
 
 def test_ingest_isolates_garbage_lines(tmp_path):

@@ -290,6 +290,8 @@ def test_sample_parameter_validation():
         sampler(model, 0.0)
     with pytest.raises(ValueError):
         sampler(model)("a", max_chars=0)
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        sampler(model, float("nan"))
 
 
 # --- cross entropy ---

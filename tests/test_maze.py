@@ -159,16 +159,7 @@ def test_boundary_walls_present_except_exit():
 
 def test_corridor_maze_path():
     maze = corridor_maze(5)
-    assert solve_maze(maze, "bfs") == (DOWN,) * 4
-
-
-def test_bfs_and_dfs_agree_on_perfect_mazes():
-    for seed in range(30):
-        maze = generate_maze(seed, 5, 5)
-        bfs = solve_maze(maze, "bfs")
-        dfs = solve_maze(maze, "dfs")
-        assert bfs == dfs
-        assert validate_path(maze, bfs).ok
+    assert solve_maze(maze) == (DOWN,) * 4
 
 
 def test_bfs_length_matches_exhaustive_minimum():
@@ -176,12 +167,7 @@ def test_bfs_length_matches_exhaustive_minimum():
         maze = generate_maze(seed, 5, 5)
         lengths = all_simple_path_lengths(maze)
         assert len(lengths) == 1  # trees have exactly one simple path
-        assert len(solve_maze(maze, "bfs")) == min(lengths)
-
-
-def test_solve_rejects_bad_strategy():
-    with pytest.raises(ValueError):
-        solve_maze(generate_maze(1, 2, 2), "astar")
+        assert len(solve_maze(maze)) == min(lengths)
 
 
 _OFFSETS = {UP: (0, -1, NORTH), RIGHT: (1, 0, EAST), DOWN: (0, 1, SOUTH), LEFT: (-1, 0, WEST)}
@@ -226,45 +212,9 @@ def test_bfs_on_mazes_with_loops_matches_naive_bfs():
     for _ in range(200):
         maze = generate_maze(rng.randrange(10**6), rng.randint(2, 8), rng.randint(2, 8))
         looped = knock_out_walls(maze, rng, rng.randint(1, 12))
-        path = solve_maze(looped, "bfs")
+        path = solve_maze(looped)
         assert path == naive_bfs(looped)
         assert validate_path(looped, path).ok
-        assert validate_path(looped, solve_maze(looped, "dfs")).ok
-
-
-def naive_dfs(maze):
-    """Coordinate stack search that claims a cell when it is pushed and
-    pushes its neighbors in W, S, E, N order, so N is explored first."""
-    came_from = {maze.entry: None}
-    stack = [maze.entry]
-    while stack:
-        x, y = stack.pop()
-        for token in (LEFT, DOWN, RIGHT, UP):
-            dx, dy, bit = _OFFSETS[token]
-            nx, ny = x + dx, y + dy
-            if (not maze.walls[y][x] & bit and 0 <= nx < maze.width and 0 <= ny < maze.height
-                    and (nx, ny) not in came_from):
-                came_from[(nx, ny)] = ((x, y), token)
-                stack.append((nx, ny))
-    steps = []
-    cell = maze.exit
-    while came_from[cell] is not None:
-        cell, token = came_from[cell]
-        steps.append(token)
-    return tuple(reversed(steps))
-
-
-def test_dfs_on_mazes_with_loops_matches_naive_dfs():
-    # on a perfect maze DFS and BFS return the one path; loops tell them apart
-    rng = random.Random(78)
-    differs = 0
-    for _ in range(300):
-        maze = generate_maze(rng.randrange(10**6), rng.randint(2, 8), rng.randint(2, 8))
-        looped = knock_out_walls(maze, rng, rng.randint(1, 12))
-        path = solve_maze(looped, "dfs")
-        assert path == naive_dfs(looped)
-        differs += path != solve_maze(looped, "bfs")
-    assert differs >= 20
 
 
 # --- path validation ---
@@ -272,7 +222,7 @@ def test_dfs_on_mazes_with_loops_matches_naive_dfs():
 
 def test_validate_solver_output():
     maze = generate_maze(9, 4, 4)
-    assert validate_path(maze, solve_maze(maze, "bfs")).ok
+    assert validate_path(maze, solve_maze(maze)).ok
 
 
 def test_validate_empty_path_wrong_endpoint():
@@ -290,7 +240,7 @@ def test_validate_wall_crossing_reported_at_first_step():
 
 def test_path_prefix_length():
     maze = generate_maze(9, 4, 4)
-    path = solve_maze(maze, "bfs")
+    path = solve_maze(maze)
     assert path_prefix_length(maze, path) == len(path)
     assert path_prefix_length(maze, path[:-1]) == len(path) - 1
     assert path_prefix_length(maze, (UP,) + path) == 0
@@ -312,7 +262,7 @@ def test_render_alphabet_without_path():
 
 def test_render_marks_entry_and_steps():
     maze = generate_maze(6, 4, 4)
-    path = solve_maze(maze, "bfs")
+    path = solve_maze(maze)
     text = render_maze(maze, path)
     assert text.count("**") == 1
     arrows = sum(text.count(tok) for tok in (UP, RIGHT, DOWN, LEFT))
@@ -329,7 +279,7 @@ def test_round_trip_unsolved_and_solved():
     for seed in range(60):
         width, height = [(4, 4), (5, 5), (6, 6)][seed % 3]
         maze = generate_maze(seed, width, height)
-        path = solve_maze(maze, "bfs")
+        path = solve_maze(maze)
         for p in (None, path):
             text = render_maze(maze, p)
             parsed_maze, parsed_path = parse_maze(text)
@@ -384,7 +334,7 @@ def test_backtracker_path_is_the_solver_path():
         seed, width, height = rng.getrandbits(63), rng.randint(2, 8), rng.randint(2, 8)
         maze, path = generate_solved_maze(seed, width, height)
         assert maze == generate_maze(seed, width, height)
-        assert path == solve_maze(maze, "bfs") == solve_maze(maze, "dfs")
+        assert path == solve_maze(maze)
 
 
 def test_render_pair_matches_render_maze():
@@ -495,7 +445,7 @@ def test_parse_unknown_token():
 
 def test_parse_dangling_path_after_deleting_an_arrow():
     maze = generate_maze(13, 4, 4)
-    path = solve_maze(maze, "bfs")
+    path = solve_maze(maze)
     text = render_maze(maze, path)
     # blank out the first step's arrow cell; the rest becomes unreachable
     token = path[0].center(3)
@@ -506,7 +456,7 @@ def test_parse_dangling_path_after_deleting_an_arrow():
 
 def test_parse_arrows_without_entry_mark():
     maze = generate_maze(13, 4, 4)
-    path = solve_maze(maze, "bfs")
+    path = solve_maze(maze)
     text = render_maze(maze, path).replace("**", "  ", 1)
     with pytest.raises(DanglingPathError):
         parse_maze(text)
@@ -561,7 +511,10 @@ def test_parse_outcomes_are_pinned():
 
 
 # sha256 of the write side below, recorded before generate_maze, solve_maze
-# and render_maze moved to flat cell indices.
+# and render_maze moved to flat cell indices. The third slot held a
+# depth-first solver's path until that solver was removed; it now holds the
+# BFS path, so the same digest checks that the two paths agree on all 125
+# mazes.
 PINNED_WRITE_SHA256 = "1afa5bd5812ab8f3a51557d636cefe80686a04ad655b6ce918f7c29b0d01c546"
 
 
@@ -571,8 +524,8 @@ def test_write_side_outcomes_are_pinned():
         for height in range(2, 7):
             for seed in range(5):
                 maze = generate_maze(seed, width, height)
-                bfs, dfs = solve_maze(maze, "bfs"), solve_maze(maze, "dfs")
-                outcome = (maze.walls, bfs, dfs, render_maze(maze), render_maze(maze, bfs))
+                path = solve_maze(maze)
+                outcome = (maze.walls, path, path, render_maze(maze), render_maze(maze, path))
                 digest.update(repr(outcome).encode() + b"\n")
     assert digest.hexdigest() == PINNED_WRITE_SHA256
 

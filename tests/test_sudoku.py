@@ -192,6 +192,8 @@ def test_count_solutions_conflict_is_zero():
 
 def test_count_solutions_caps_at_limit():
     assert count_solutions(parse_grid81(BLANK), 3) == 3
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        count_solutions(parse_grid81(BLANK), 0)
 
 
 def test_sample_puzzle_is_unique():
