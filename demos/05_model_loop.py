@@ -12,7 +12,7 @@ from puzzletext.markov import cross_entropy, sample, train
 records = build_maze_corpus(rng_seed=11, total=300, sizes=[(4, 4), (5, 5)])
 text = corpus_text(records)
 model = train(text, order=6, alpha=0.1)
-print(f"corpus: {len(text):,} chars; model contexts: {len(model.counts):,}")
+print(f"corpus: {len(text):,} chars; model contexts: {len(model['counts']):,}")
 print(f"bits/char on training text: {cross_entropy(model, text[:20000]):.3f}")
 print()
 

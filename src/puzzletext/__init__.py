@@ -31,7 +31,6 @@ from .evaluate import (
     classify_sudoku,
     cube_progress,
 )
-from .markov import CharMarkovModel
 from .maze import Maze, MazePath, generate_maze, parse_maze, render_maze, solve_maze, validate_path
 from .sudoku import (
     Violation,
@@ -50,7 +49,6 @@ __all__ = [
     "ALL_MOVES",
     "FACES",
     "SOLVED_FACELETS",
-    "CharMarkovModel",
     "CorpusSplit",
     "DepthExceeded",
     "Formula",

@@ -158,7 +158,7 @@ def _cmd_train(args) -> int:
     model = markov_mod.train(_read_pieces(args.corpus), args.order, args.alpha)
     markov_mod.save_model(model, args.out)
     print(
-        f"trained order-{args.order} model on {len(model.counts)} contexts -> {args.out}",
+        f"trained order-{args.order} model on {len(model['counts'])} contexts -> {args.out}",
         file=sys.stderr,
     )
     return 0
@@ -213,7 +213,7 @@ def build_parser() -> _Parser:
     def add_gen(kind, summary, total, build, *flags):
         # `build` looks its builder up on each call, so a wrapped builder is the one run
         g = gen.add_parser(kind, help=summary)
-        g.add_argument("--seed", type=int, required=True)
+        g.add_argument("--seed", type=_number(int, 0), required=True)
         g.add_argument("--total", type=_number(int, 0), default=total)
         for flag, options in flags:
             g.add_argument(flag, **options)
@@ -251,7 +251,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("split", help="dedup a corpus and split train/test")
     g.add_argument("--in", dest="in_path", required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_number(int, 0), required=True)
     g.add_argument("--test-fraction", type=_number(float, 0, strict=True, below=1), default=0.2)
     g.add_argument("--train-out", required=True)
     g.add_argument("--test-out", required=True)
@@ -282,7 +282,7 @@ def build_parser() -> _Parser:
     g.add_argument("--mark-violations", action="store_true")
     g.set_defaults(func=_cmd_render_sudoku)
     g = render.add_parser("maze")
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_number(int, 0), required=True)
     g.add_argument("--width", type=_number(int, 2), default=5)
     g.add_argument("--height", type=_number(int, 2), default=5)
     g.add_argument("--solved", action="store_true")
@@ -297,7 +297,7 @@ def build_parser() -> _Parser:
 
     g = sub.add_parser("sample", help="draw seeded samples from a model")
     g.add_argument("--model", required=True)
-    g.add_argument("--seed", type=int, required=True)
+    g.add_argument("--seed", type=_number(int, 0), required=True)
     g.add_argument("--count", type=_number(int, 0), default=1)
     g.add_argument("--max-chars", type=_number(int, 1), default=corpus_mod.DEFAULT_MAX_CHARS)
     g.add_argument("--temperature", type=_number(float, 0, strict=True), default=1.0)

@@ -5,7 +5,9 @@ loop: it learns next-character counts for every length-k context in the
 training text (record framing tokens are ordinary characters to it) and
 samples deterministically from a caller-supplied seed. Contexts never seen
 in training back off to the character frequency distribution, so sampling
-cannot fail.
+cannot fail. A model is the JSON object its file holds: `format`, `order`,
+`alpha`, `alphabet` (the sorted distinct characters as one str), `counts`
+(context -> next char -> count) and `char_counts` (the backoff counts).
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from itertools import accumulate
 
 from . import _util
@@ -35,16 +36,7 @@ class TextTooShortError(ValueError):
     pass
 
 
-@dataclass(slots=True)
-class CharMarkovModel:
-    order: int
-    alpha: float
-    alphabet: tuple[str, ...]  # sorted, unique
-    counts: dict[str, dict[str, int]]  # context -> next char -> count
-    char_counts: dict[str, int]  # backoff distribution
-
-
-def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovModel:
+def train(corpus: str | Iterable[str], order: int, alpha: float) -> dict:
     """Count the corpus, a str or its text in pieces, cut into pieces of at
     most _util.PIECE_CHARS characters as read_pieces cuts a file. A line is
     counted once the `order` characters after it have arrived, so between
@@ -91,13 +83,14 @@ def train(corpus: str | Iterable[str], order: int, alpha: float) -> CharMarkovMo
     for gram, times in grams.items():
         counts.setdefault(gram[:-1], {})[gram[-1]] = times
         char_counts[gram[0]] += times
-    return CharMarkovModel(
-        order=order,
-        alpha=alpha,
-        alphabet=tuple(sorted(char_counts)),
-        counts=counts,
-        char_counts=dict(char_counts),
-    )
+    return {
+        "format": MODEL_FORMAT_VERSION,
+        "order": order,
+        "alpha": alpha,
+        "alphabet": "".join(sorted(char_counts)),
+        "counts": counts,
+        "char_counts": dict(char_counts),
+    }
 
 
 def _count_windows(text: str, order: int, limit: int, windows: Counter[str]) -> int:
@@ -117,36 +110,36 @@ def _count_windows(text: str, order: int, limit: int, windows: Counter[str]) -> 
     return end
 
 
-def _context_counts(model: CharMarkovModel, history: str) -> tuple[dict[str, int], float]:
+def _context_counts(model: dict, history: str) -> tuple[dict[str, int], float]:
     """Next-character counts after the last `order` chars of history, and
     their smoothed total: the denominator of every conditional."""
-    context = history[-model.order:] if model.order else ""
-    bucket = model.counts.get(context)
+    order = model["order"]
+    bucket = model["counts"].get(history[-order:] if order else "")
     if bucket is None:
-        bucket = model.char_counts  # backoff; may itself be empty
-    return bucket, sum(bucket.values()) + model.alpha * len(model.alphabet)
+        bucket = model["char_counts"]  # backoff; may itself be empty
+    return bucket, sum(bucket.values()) + model["alpha"] * len(model["alphabet"])
 
 
-def conditional_prob(model: CharMarkovModel, history: str, char: str) -> float:
+def conditional_prob(model: dict, history: str, char: str) -> float:
     """Smoothed P(char | last `order` chars of history)."""
     bucket, total = _context_counts(model, history)
-    return (bucket.get(char, 0) + model.alpha) / total
+    return (bucket.get(char, 0) + model["alpha"]) / total
 
 
-def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., str]:
+def sampler(model: dict, temperature: float = 1.0) -> Callable[..., str]:
     """A `draw(prompt, max_chars=DEFAULT_MAX_CHARS, rng_seed=0)` function
     that samples like `sample` at this temperature. Draws share one
     cumulative table per context seen in training, plus one backoff table
     for every unseen context, each built on first use; so a reused sampler
-    builds each table once and holds at most len(model.counts) + 1 of them.
+    builds each table once and holds at most len(model["counts"]) + 1 of them.
     The model is only read, and must not change while in use."""
     if not temperature > 0:  # NaN included
         raise ValueError("temperature must be > 0")
-    alphabet = model.alphabet
-    alpha = model.alpha
+    alphabet = model["alphabet"]
+    alpha = model["alpha"]
     last = len(alphabet) - 1
-    order = model.order
-    counts = model.counts
+    order = model["order"]
+    counts = model["counts"]
     tables: dict[str | None, list[float]] = {}  # seen context, or None for backoff -> cumulative weights
 
     def table(context: str) -> list[float]:
@@ -192,7 +185,7 @@ def sampler(model: CharMarkovModel, temperature: float = 1.0) -> Callable[..., s
 
 
 def sample(
-    model: CharMarkovModel,
+    model: dict,
     prompt: str,
     max_chars: int = DEFAULT_MAX_CHARS,
     rng_seed: int = 0,
@@ -204,31 +197,23 @@ def sample(
     return sampler(model, temperature)(prompt, max_chars, rng_seed)
 
 
-def cross_entropy(model: CharMarkovModel, text: str) -> float:
+def cross_entropy(model: dict, text: str) -> float:
     """Mean bits per character of the smoothed conditionals over positions
     order..end of `text`."""
-    if len(text) <= model.order:
-        raise TextTooShortError(f"need more than {model.order} characters")
-    order = model.order
+    order = model["order"]
+    if len(text) <= order:
+        raise TextTooShortError(f"need more than {order} characters")
     bits = 0.0
     for i in range(order, len(text)):
         bits -= math.log2(conditional_prob(model, text[i - order: i], text[i]))
     return bits / (len(text) - order)
 
 
-def save_model(model: CharMarkovModel, path) -> None:
-    payload = {
-        "format": MODEL_FORMAT_VERSION,
-        "order": model.order,
-        "alpha": model.alpha,
-        "alphabet": "".join(model.alphabet),
-        "counts": model.counts,
-        "char_counts": model.char_counts,
-    }
-    atomic_write_text(path, json.dumps(payload, sort_keys=True))
+def save_model(model: dict, path) -> None:
+    atomic_write_text(path, json.dumps(model, sort_keys=True))
 
 
-def load_model(path) -> CharMarkovModel:
+def load_model(path) -> dict:
     payload = json.loads("".join(read_pieces(path)))
     if not isinstance(payload, dict):
         raise ValueError(f"model file holds a JSON {type(payload).__name__}, not an object")
@@ -267,4 +252,4 @@ def load_model(path) -> CharMarkovModel:
     for name, buckets in (("counts", counts.values()), ("char_counts", (char_counts,))):
         if not all(map(set(alphabet).issuperset, buckets)):
             raise ValueError(f"model {name} must count characters of the alphabet only")
-    return CharMarkovModel(order, alpha, tuple(alphabet), counts, char_counts)
+    return payload

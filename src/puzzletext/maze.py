@@ -1,12 +1,13 @@
 """Perfect-maze generation, solving, and the ASCII wall/path codec.
 
-A maze is a rectangular cell grid with a 4-bit wall mask per cell. Renders
-use '+' at wall intersections, '-' for horizontal walls, '|' for vertical
-walls; every cell is 4 characters wide and 2 text rows tall plus a closing
-wall row. Navigation starts at the top-left cell, marked "**", and ends at
-the bottom-right cell, which opens through the outer south wall. Path steps
-are written into the cell they enter using two-character arrow tokens:
-"^^" up, ">>" right, "vv" down, "<<" left.
+A maze is its rows of cells, each row a `bytes` of 4-bit NESW wall masks,
+so maze[y][x] is cell (x, y)'s mask. Renders use '+' at wall intersections,
+'-' for horizontal walls, '|' for vertical walls; every cell is 4 characters
+wide and 2 text rows tall plus a closing wall row. Navigation starts at the
+top-left cell, marked "**", and ends at the bottom-right cell, which opens
+through the outer south wall. Path steps are written into the cell they
+enter using two-character arrow tokens: "^^" up, ">>" right, "vv" down,
+"<<" left.
 """
 from __future__ import annotations
 
@@ -68,20 +69,8 @@ class MazeUnreachableError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Maze:
-    width: int
-    height: int
-    walls: tuple[tuple[int, ...], ...]  # walls[y][x] is a NESW bitmask
-
-    @property
-    def entry(self) -> tuple[int, int]:
-        return (0, 0)
-
-    @property
-    def exit(self) -> tuple[int, int]:
-        return (self.width - 1, self.height - 1)
-
+# A maze is its rows of wall masks: maze[y][x] is cell (x, y)'s NESW mask.
+Maze = tuple[bytes, ...]
 
 # A path is an ordered tuple of arrow tokens.
 MazePath = tuple[str, ...]
@@ -170,8 +159,8 @@ def generate_solved_maze(rng_seed: int, width: int, height: int) -> tuple[Maze, 
         else:
             break
     walls[-1] &= ~SOUTH  # exit opening
-    rows = tuple(tuple(walls[i: i + width]) for i in range(0, width * height, width))
-    return Maze(width, height, rows), path
+    cells = bytes(walls)
+    return tuple(cells[i: i + width] for i in range(0, width * height, width)), path
 
 
 def generate_maze(rng_seed: int, width: int, height: int) -> Maze:
@@ -183,8 +172,9 @@ def solve_maze(maze: Maze) -> MazePath:
     """Entry-to-exit shortest path, by breadth-first search with neighbors in
     N, E, S, W order; a cell keeps the step that first reached it. A perfect
     maze has one simple path, so on it this is that path."""
-    grid = _cached(_grid, maze.width, maze.height)(maze.width, maze.height)
-    walls = [mask for row in maze.walls for mask in row]
+    width, height = len(maze[0]), len(maze)
+    grid = _cached(_grid, width, height)(width, height)
+    walls = b"".join(maze)
     goal = len(walls) - 1
     came_from: dict[int, tuple[int, str] | None] = {0: None}  # cell -> (cell before, step token)
     queue = [0]
@@ -210,13 +200,14 @@ def solve_maze(maze: Maze) -> MazePath:
 def _walk(maze: Maze, path: MazePath) -> tuple[int, tuple[int, int]]:
     """Walk from the entry; return the number of leading steps that stay on
     the grid and cross no wall, and the cell those steps reach."""
-    x, y = maze.entry
+    width, height = len(maze[0]), len(maze)
+    x = y = 0
     for index, token in enumerate(path):
         if token not in _STEPS:
             return index, (x, y)
         dx, dy, bit, _ = _STEPS[token]
         nx, ny = x + dx, y + dy
-        if maze.walls[y][x] & bit or not (0 <= nx < maze.width and 0 <= ny < maze.height):
+        if maze[y][x] & bit or not (0 <= nx < width and 0 <= ny < height):
             return index, (x, y)
         x, y = nx, ny
     return len(path), (x, y)
@@ -228,7 +219,7 @@ def validate_path(maze: Maze, path: MazePath) -> PathVerdict:
     walked, cell = _walk(maze, path)
     if walked < len(path):
         return PathVerdict("wall_crossed", step_index=walked)
-    if cell != maze.exit:
+    if cell != (len(maze[0]) - 1, len(maze) - 1):
         return PathVerdict("wrong_endpoint", cell=cell)
     return PathVerdict("valid")
 
@@ -257,11 +248,11 @@ def _row_lines(masks: bytes) -> tuple[str, str]:
 
 def _render_lines(maze: Maze) -> list[str]:
     """The render's lines with blank cell interiors, unstripped."""
-    row_lines = _cached(_row_lines, maze.width, maze.height)
+    row_lines = _cached(_row_lines, len(maze[0]), len(maze))
     lines = []
-    for masks in maze.walls:
-        lines += row_lines(bytes(masks).translate(_CLEAR_SOUTH))
-    lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze.walls[-1]]) + "+")
+    for masks in maze:
+        lines += row_lines(masks.translate(_CLEAR_SOUTH))
+    lines.append("".join(["+---" if mask & SOUTH else "+   " for mask in maze[-1]]) + "+")
     return lines
 
 
@@ -270,13 +261,12 @@ def _mark_lines(maze: Maze, lines: list[str], path: MazePath) -> None:
     lines, checking each step as it is written. Unless the path is valid,
     InvalidPathError names the kind validate_path reports, and `lines` is
     left partly marked."""
-    width, height, walls = maze.width, maze.height, maze.walls
-    x, y = maze.entry
-    line = lines[2 * y + 1]
-    lines[2 * y + 1] = line[: 4 * x + 1] + ENTRY_MARK.center(3) + line[4 * x + 4:]
+    width, height = len(maze[0]), len(maze)
+    x = y = 0
+    lines[1] = lines[1][:1] + ENTRY_MARK.center(3) + lines[1][4:]
     for token in path:
         step = _MARKS.get(token)  # an unknown token counts as a wall
-        if step is None or walls[y][x] & step[2]:
+        if step is None or maze[y][x] & step[2]:
             raise InvalidPathError("path is not valid for this maze: wall_crossed")
         dx, dy, _, mark = step
         x += dx
@@ -285,7 +275,7 @@ def _mark_lines(maze: Maze, lines: list[str], path: MazePath) -> None:
             raise InvalidPathError("path is not valid for this maze: wall_crossed")
         line = lines[2 * y + 1]
         lines[2 * y + 1] = line[: 4 * x + 1] + mark + line[4 * x + 4:]
-    if (x, y) != maze.exit:
+    if (x, y) != (width - 1, height - 1):
         raise InvalidPathError("path is not valid for this maze: wrong_endpoint")
 
 
@@ -409,12 +399,12 @@ def parse_maze(text: str) -> tuple[Maze, MazePath | None]:
             above, below = below, wall_line(line)
             # one byte per cell: NORTH from the line above, SOUTH from the line
             # below, WEST and EAST from the body line; no byte carries
-            walls.append(tuple((above * NORTH | below * SOUTH | sides).to_bytes(width, "big")))
+            walls.append((above * NORTH | below * SOUTH | sides).to_bytes(width, "big"))
     except _LineError as exc:
         if exc.token is None:
             raise MazeGeometryError(number, exc.column, exc.message) from None
         raise MazeTokenError(number, exc.column, exc.token) from None
-    maze = Maze(width, height, tuple(walls))
+    maze = tuple(walls)
 
     if not entries:
         if arrows:

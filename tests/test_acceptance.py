@@ -237,19 +237,20 @@ def test_c6_maze_properties(maze_sample):
     started = time.monotonic()
     mazes, _ = maze_sample
 
-    def open_edges(maze):
+    def open_edges(maze, width, height):
         edges = []
-        for y in range(maze.height):
-            for x in range(maze.width):
-                if x + 1 < maze.width and not maze.walls[y][x] & 2:  # EAST
+        for y in range(height):
+            for x in range(width):
+                if x + 1 < width and not maze[y][x] & 2:  # EAST
                     edges.append(((x, y), (x + 1, y)))
-                if y + 1 < maze.height and not maze.walls[y][x] & 4:  # SOUTH
+                if y + 1 < height and not maze[y][x] & 4:  # SOUTH
                     edges.append(((x, y), (x, y + 1)))
         return edges
 
     for maze in mazes:
+        width, height = len(maze[0]), len(maze)
         # union-find spanning tree check
-        parent = {(x, y): (x, y) for y in range(maze.height) for x in range(maze.width)}
+        parent = {(x, y): (x, y) for y in range(height) for x in range(width)}
 
         def find(a):
             while parent[a] != a:
@@ -257,15 +258,15 @@ def test_c6_maze_properties(maze_sample):
                 a = parent[a]
             return a
 
-        edges = open_edges(maze)
-        assert len(edges) == maze.width * maze.height - 1
+        edges = open_edges(maze, width, height)
+        assert len(edges) == width * height - 1
         for a, b in edges:
             ra, rb = find(a), find(b)
             assert ra != rb  # no cycles
             parent[ra] = rb
 
         path = solve_maze(maze)
-        if maze.width * maze.height <= 25:
+        if width * height <= 25:
             # exhaustive minimum over all simple entry-to-exit paths
             adjacency = {}
             for a, b in edges:
@@ -274,7 +275,7 @@ def test_c6_maze_properties(maze_sample):
             best = [None]
 
             def walk(cell, seen, steps):
-                if cell == maze.exit:
+                if cell == (width - 1, height - 1):
                     if best[0] is None or steps < best[0]:
                         best[0] = steps
                     return
@@ -282,7 +283,7 @@ def test_c6_maze_properties(maze_sample):
                     if nxt not in seen:
                         walk(nxt, seen | {nxt}, steps + 1)
 
-            walk(maze.entry, {maze.entry}, 0)
+            walk((0, 0), {(0, 0)}, 0)
             assert len(path) == best[0]
 
         for p in (None, path):

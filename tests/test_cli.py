@@ -11,7 +11,7 @@ from conftest import REPO_ROOT, SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
 from puzzletext import corpus
 from puzzletext.cli import run
 from puzzletext.cube import SOLVED_FACELETS, apply_formula, parse_formula
-from puzzletext.maze import NORTH, SOUTH, Maze, generate_maze, parse_maze, render_maze, solve_maze, validate_path
+from puzzletext.maze import NORTH, SOUTH, generate_maze, parse_maze, render_maze, solve_maze, validate_path
 
 
 def read(path):
@@ -121,6 +121,12 @@ def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
     (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "inf"],
      "argument --test-fraction: must be greater than 0 and less than 1, got inf"),
     (["render", "maze", "--seed", "1", "--height", "0"], "argument --height: must be at least 2, got 0"),
+    (["sample", "--model", "m.json", "--seed", "-2"], "argument --seed: must be at least 0, got -2"),
+    (["gen", "cube", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["gen", "sudoku", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["gen", "maze", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["split", "--in", "c.txt", "--seed", "-3"], "argument --seed: must be at least 0, got -3"),
+    (["render", "maze", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
@@ -141,6 +147,7 @@ def test_numbers_at_their_bounds_are_accepted(tmp_path, capsys):
     argv = ["gen", "sudoku", "--seed", "1", "--total", "2", "--clue-min", "17", "--clue-max", "80", "--allow-multiple"]
     assert run([*argv, "--out", str(tmp_path / "s.txt")]) == 0
     assert run(["render", "maze", "--seed", "1", "--width", "2", "--height", "2"]) == 0
+    assert run(["gen", "maze", "--seed", "0", "--total", "1", "--out", str(tmp_path / "m.txt")]) == 0
 
 
 def test_gen_maze_size_out_of_range_is_data_error(tmp_path, capsys):
@@ -357,11 +364,11 @@ def test_render_and_solve_maze_round_trip(tmp_path, capsys):
 
 def test_solve_maze_reads_stdin_by_default(tmp_path):
     perfect = generate_maze(3, 4, 4)
-    walls = [list(row) for row in perfect.walls]
+    walls = [bytearray(row) for row in perfect]
     for x in range(4):  # open every wall between the second and third rows, which makes loops
         walls[1][x] &= ~SOUTH
         walls[2][x] &= ~NORTH
-    maze = Maze(4, 4, tuple(map(tuple, walls)))
+    maze = tuple(map(bytes, walls))
     assert len(solve_maze(maze)) < len(solve_maze(perfect))  # a shortcut, not the perfect maze's path
     unsolved = tmp_path / "maze.txt"
     unsolved.write_text(render_maze(maze) + "\n", encoding="utf-8")

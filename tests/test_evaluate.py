@@ -32,7 +32,7 @@ from puzzletext.evaluate import (
     format_report,
     ingest_external_outputs,
 )
-from puzzletext.maze import EAST, MAX_MAZE_SIDE, NORTH, SOUTH, WEST, Maze, generate_maze, render_maze, solve_maze
+from puzzletext.maze import EAST, MAX_MAZE_SIDE, NORTH, SOUTH, WEST, generate_maze, render_maze, solve_maze
 from puzzletext.maze import _body_line, _grid, _wall_line
 from test_maze import mutated_renders
 
@@ -210,10 +210,11 @@ def test_classify_maze_truncated_path_progress():
     shortest = len(path)
     solved_lines = render_maze(maze, path).split("\n")
     # blank the arrow written into the exit cell, dropping the final step
-    body = list(solved_lines[2 * (maze.height - 1) + 1])
-    col = 4 * (maze.width - 1) + 1
+    last = 2 * (len(maze) - 1) + 1
+    body = list(solved_lines[last])
+    col = 4 * (len(maze[0]) - 1) + 1
     body[col: col + 3] = "   "
-    solved_lines[2 * (maze.height - 1) + 1] = "".join(body).rstrip()
+    solved_lines[last] = "".join(body).rstrip()
     record = corpus.PuzzleRecord("maze", render_maze(maze), "\n".join(solved_lines))
     verdict = classify_maze(corpus.serialize_record(record))
     assert verdict.status == "incorrect"
@@ -232,14 +233,14 @@ def test_classify_maze_keeps_no_neighbor_table_for_large_mazes():
     # open rooms, built without generate_maze, one side over MAX_MAZE_SIDE
     for width, height in ((40, 40), (MAX_MAZE_SIDE + 1, 2), (2, MAX_MAZE_SIDE + 1)):
         walls = tuple(
-            tuple(
+            bytes(
                 (NORTH if y == 0 else 0) | (WEST if x == 0 else 0) | (EAST if x == width - 1 else 0)
                 | (SOUTH if y == height - 1 and x < width - 1 else 0)
                 for x in range(width)
             )
             for y in range(height)
         )
-        text = render_maze(Maze(width, height, walls))
+        text = render_maze(walls)
         record = corpus.serialize_record(corpus.PuzzleRecord("maze", text, text))
         before = [cache.cache_info() for cache in (_grid, _wall_line, _body_line)]
         verdict = classify_maze(record)

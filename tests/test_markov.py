@@ -11,7 +11,6 @@ import pytest
 from puzzletext import corpus
 from puzzletext._util import PIECE_CHARS
 from puzzletext.markov import (
-    CharMarkovModel,
     EmptyCorpusError,
     TextTooShortError,
     conditional_prob,
@@ -37,7 +36,7 @@ def test_bigram_counts_hand_computed():
 
 def test_order_zero_is_unigram():
     model = train("aab", 0, 1.0)
-    assert model.counts[""] == {"a": 2, "b": 1}
+    assert model["counts"][""] == {"a": 2, "b": 1}
     assert conditional_prob(model, "anything", "a") == pytest.approx(3 / 5)
 
 
@@ -90,9 +89,9 @@ def test_train_matches_per_position_counts(name, order):
     text = TRAIN_TEXTS.get(name) or ("ab\n" * 4)[: order + 1]
     model = train(text, order, 0.1)
     counts, char_counts = naive_train(text, order)
-    assert model.counts == counts
-    assert model.char_counts == char_counts
-    assert model.alphabet == tuple(sorted(char_counts))
+    assert model["counts"] == counts
+    assert model["char_counts"] == char_counts
+    assert model["alphabet"] == "".join(sorted(char_counts))
 
 
 def straddling_lines(seed, total):
@@ -119,7 +118,7 @@ CHUNK_EDGE_TEXTS = {
 def test_train_matches_per_position_counts_across_chunk_edges(name, order):
     text = CHUNK_EDGE_TEXTS[name]
     model = train(text, order, 0.1)
-    assert (model.counts, model.char_counts) == naive_train(text, order)
+    assert (model["counts"], model["char_counts"]) == naive_train(text, order)
 
 
 @pytest.mark.parametrize("beyond", [1, 10**12])
@@ -129,7 +128,7 @@ def test_train_order_beyond_text_length(name, beyond):
     text = TRAIN_TEXTS[name]
     order = len(text) + beyond
     model = train(text, order, 0.1)
-    assert (model.counts, model.char_counts) == naive_train(text, order) == ({}, dict(Counter(text)))
+    assert (model["counts"], model["char_counts"]) == naive_train(text, order) == ({}, dict(Counter(text)))
 
 
 def cut(text, cuts):
@@ -182,8 +181,8 @@ def test_train_memory_does_not_grow_with_piece_size(wrap):
 def test_conditionals_sum_to_one():
     rng = random.Random(2)
     model = train("the quick brown fox jumps over the lazy dog " * 20, 3, 0.3)
-    alphabet = model.alphabet
-    contexts = list(model.counts)[:500] + ["zz?", "@@@", ""]
+    alphabet = model["alphabet"]
+    contexts = list(model["counts"])[:500] + ["zz?", "@@@", ""]
     for _ in range(500):
         contexts.append("".join(rng.choice(alphabet) for _ in range(3)))
     for context in contexts:
@@ -268,7 +267,7 @@ def test_reused_sampler_matches_fresh_samples(temperature):
 
 def test_reused_sampler_holds_one_table_per_seen_context():
     """Unseen contexts share one backoff table, so a sampler drawing many
-    high-temperature samples holds at most len(model.counts) + 1 tables."""
+    high-temperature samples holds at most len(model["counts"]) + 1 tables."""
     model = train(TRAIN_TEXTS["maze_corpus"], 6, 0.1)
     draw = sampler(model, 50.0)
     tables = inspect.getclosurevars(draw).nonlocals["tables"]
@@ -277,7 +276,7 @@ def test_reused_sampler_holds_one_table_per_seen_context():
         if seed % 60 == 0:
             assert out == sample(model, "zzzzzz", 200, seed, 50.0)
     assert None in tables  # the backoff table was used
-    assert len(tables) <= len(model.counts) + 1
+    assert len(tables) <= len(model["counts"]) + 1
 
 
 def test_sample_parameter_validation():
@@ -300,11 +299,11 @@ def test_sample_parameter_validation():
 def test_cross_entropy_below_uniform_on_training_text():
     text = "abcdabcdabcd" * 10
     model = train(text, 3, 0.01)
-    assert cross_entropy(model, text) < math.log2(len(model.alphabet))
+    assert cross_entropy(model, text) < math.log2(len(model["alphabet"]))
 
 
 def test_alpha_only_model_scores_uniform():
-    model = CharMarkovModel(2, 0.5, ("a", "b"), {}, {})
+    model = {"format": 1, "order": 2, "alpha": 0.5, "alphabet": "ab", "counts": {}, "char_counts": {}}
     assert cross_entropy(model, "abba") == pytest.approx(1.0)
 
 
@@ -337,7 +336,7 @@ def test_save_load_round_trip(tmp_path):
     model = train("the rain in spain " * 15, 4, 0.25)
     path = tmp_path / "model.json"
     save_model(model, path)
-    assert load_model(path) == model
+    assert load_model(path) == model == json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_load_rejects_unknown_format(tmp_path):

@@ -24,17 +24,17 @@ def linear_scan_sample(model, prompt, max_chars, rng_seed, temperature):
     """Reference sampler: rebuilds the weights for every character and scans
     them in alphabet order until the running sum exceeds the draw."""
     rng = random.Random(rng_seed)
-    alphabet = model.alphabet
+    alphabet = model["alphabet"]
     history = prompt
     out = []
     tail = ""
     for _ in range(max_chars):
-        context = history[-model.order:] if model.order else ""
-        bucket = model.counts.get(context)
+        context = history[-model["order"]:] if model["order"] else ""
+        bucket = model["counts"].get(context)
         if bucket is None:
-            bucket = model.char_counts
-        total = sum(bucket.values()) + model.alpha * len(alphabet)
-        weights = [(bucket.get(c, 0) + model.alpha) / total for c in alphabet]
+            bucket = model["char_counts"]
+        total = sum(bucket.values()) + model["alpha"] * len(alphabet)
+        weights = [(bucket.get(c, 0) + model["alpha"]) / total for c in alphabet]
         if temperature != 1.0:
             logs = [math.log(w) / temperature for w in weights]
             peak = max(logs)
@@ -62,9 +62,9 @@ def linear_scan_sample(model, prompt, max_chars, rng_seed, temperature):
 def test_train_matches_per_position_counts(text, order):
     model = train(text, order, 0.1)
     counts, char_counts = naive_train(text, order)
-    assert model.counts == counts
-    assert model.char_counts == char_counts
-    assert model.alphabet == tuple(sorted(char_counts))
+    assert model["counts"] == counts
+    assert model["char_counts"] == char_counts
+    assert model["alphabet"] == "".join(sorted(char_counts))
 
 
 @FAST
@@ -83,7 +83,7 @@ def test_train_over_pieces_matches_whole_text(text, cuts, chunk, order, beyond):
         order = len(text) + 10**12
     with mock.patch.object(_util, "PIECE_CHARS", chunk):
         whole = train(text, order, 0.1)
-        assert (whole.counts, whole.char_counts) == naive_train(text, order)
+        assert (whole["counts"], whole["char_counts"]) == naive_train(text, order)
         assert train(iter(cut(text, cuts)), order, 0.1) == whole
 
 

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION
+from puzzletext import sudoku
 from puzzletext.corpus import build_sudoku_corpus, corpus_text
 from puzzletext.sudoku import (
     GridDigitError,
@@ -259,10 +260,11 @@ def test_generate_clue_bounds():
         generate_puzzle(1, 81)
 
 
-def test_generate_failure_is_reported():
+def test_generate_failure_is_reported(monkeypatch):
     # 17 clues with uniqueness is essentially unreachable by greedy removal
+    monkeypatch.setattr(sudoku, "MAX_ATTEMPTS", 1)
     with pytest.raises(PuzzleGenerationError):
-        generate_puzzle(0, 17, max_attempts=1)
+        generate_puzzle(0, 17)
 
 
 # sha256 of the bytes below, recorded before the search was refactored.
