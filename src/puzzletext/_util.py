@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import os
+import random
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
@@ -42,6 +43,14 @@ def split_pieces(stream: str | Iterable[str], separator: str) -> Iterator[str]:
 def read_lines(source) -> Iterator[str]:
     """What read_pieces(source) joined and split at "\n" gives, one line at a time."""
     return split_pieces(read_pieces(source), "\n")
+
+
+def seeded_random(rng_seed: int) -> random.Random:
+    """random.Random(rng_seed), which seeds by the absolute value; so a
+    negative seed, which would repeat its positive twin, is refused."""
+    if rng_seed < 0:
+        raise ValueError(f"rng_seed must be at least 0, got {rng_seed}")
+    return random.Random(rng_seed)
 
 
 class Counted:

@@ -49,12 +49,15 @@ class _Parser(argparse.ArgumentParser):
 def _number(convert, low, *, strict=False, below=None):
     """argparse type: `convert(text)` (int or float) no smaller than `low`,
     greater than it if `strict`, and less than `below` if given. NaN fails
-    every bound, and infinity is refused as not finite."""
+    every bound, and infinity is refused as not finite. Only ASCII text
+    without underscores is read, so `٣` and `1_0` are invalid values."""
     bound = f"{'greater than' if strict else 'at least'} {low}"
     if below is not None:
         bound += f" and less than {below}"
 
     def parse(text: str):
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)  # argparse reports "invalid int value: '٣'"
         value = convert(text)
         in_range = (low < value if strict else low <= value) and (below is None or value < below)
         if not in_range:
@@ -183,13 +186,12 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    options = {k: v for k, v in vars(args).items() if k in ("max_chars", "strict_clues", "jsonl")}
     verdicts, issues = evaluate_mod.ingest_external_outputs(
-        args.prompts, args.outputs, args.kind, **options
+        args.prompts, args.outputs, args.kind, jsonl=args.jsonl
     )
     for issue in issues:
         print(f"skipped line {issue.line}: {issue.reason}", file=sys.stderr)
-    params = corpus_mod.read_meta(args.meta) if args.meta else None
+    params = corpus_mod.read_json_lines(args.meta, dict) if args.meta else None
     report = evaluate_mod.aggregate(verdicts, params)
     print(evaluate_mod.format_report(report))
     if args.json:
@@ -320,10 +322,10 @@ def build_parser() -> _Parser:
             g.add_argument(flag, **options)
         g.add_argument("--json", default=None)
         g.add_argument("--meta", default=None)
-        g.set_defaults(func=_cmd_score, prompts=None)
+        g.set_defaults(func=_cmd_score, prompts=None, jsonl=False)
 
-    add_score("cube", ("--max-chars", dict(type=_number(int, 1), default=corpus_mod.DEFAULT_MAX_CHARS)))
-    add_score("sudoku", ("--lenient-clues", dict(dest="strict_clues", action="store_false")))
+    add_score("cube")
+    add_score("sudoku")
     add_score("maze", ("--jsonl", dict(action="store_true")), prompts=False)
 
     return parser

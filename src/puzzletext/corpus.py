@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import csv
 import json
-import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from string import whitespace
 
-from ._util import atomic_writer, read_lines, read_pieces, split_pieces
+from ._util import atomic_writer, read_lines, read_pieces, seeded_random, split_pieces
 from .cube import FACES, SOLVED_FACELETS, apply_formula, format_formula, random_scramble
 from .cube_solver import solve
 from .maze import MAX_MAZE_SIDE, MazeSizeError, generate_solved_maze, render_maze_pair
@@ -154,7 +153,7 @@ def build_cube_corpus(rng_seed: int, total: int, max_scramble: int) -> Iterator[
         raise ValueError("max_scramble must be >= 1")
     if total % max_scramble:
         raise DivisibilityError(f"total {total} not divisible by max_scramble {max_scramble}")
-    master = random.Random(rng_seed)
+    master = seeded_random(rng_seed)
     return (
         _cube_record(master.getrandbits(63), length)
         for length in range(1, max_scramble + 1)
@@ -186,7 +185,7 @@ def build_sudoku_corpus(
         raise ValueError(
             f"clue range must satisfy {MIN_CLUES} <= low <= high <= {MAX_CLUES}, got {clue_range}"
         )
-    master = random.Random(rng_seed)
+    master = seeded_random(rng_seed)
     return (
         _sudoku_record(master.getrandbits(63), master.randint(low, high), require_unique)
         for _ in range(total)
@@ -218,7 +217,7 @@ def build_maze_corpus(
             raise MazeSizeError(
                 f"maze sizes must be within 2x2..{MAX_MAZE_SIDE}x{MAX_MAZE_SIDE}, got {width}x{height}"
             )
-    master = random.Random(rng_seed)
+    master = seeded_random(rng_seed)
     return (_maze_record(master.getrandbits(63), *sizes[i % len(sizes)]) for i in range(total))
 
 
@@ -274,6 +273,7 @@ def dedup_and_split(
     records are read once, so a lazy stream of them is never held whole."""
     if not 0 < test_fraction < 1:
         raise ValueError("test_fraction must be in (0, 1)")
+    rng = seeded_random(rng_seed)
     seen = set()
     unique = []
     for record in records:
@@ -281,7 +281,7 @@ def dedup_and_split(
         if key not in seen:
             seen.add(key)
             unique.append(record)
-    random.Random(rng_seed).shuffle(unique)
+    rng.shuffle(unique)
     n_test = int(len(unique) * test_fraction + 0.5)
     return CorpusSplit(train=unique[n_test:], test=unique[:n_test])
 
@@ -342,10 +342,6 @@ def read_json_lines(path, expected: type) -> list:
                 raise ValueError(f"line {line}: expected a JSON {wanted}, got {type(value).__name__}")
             values.append(value)
     return values
-
-
-def read_meta(path) -> list[dict]:
-    return read_json_lines(path, dict)
 
 
 def parse_corpus_text(text: str | Iterable[str]) -> list[PuzzleRecord]:

@@ -14,8 +14,7 @@ not separators.
 """
 from __future__ import annotations
 
-import random
-
+from ._util import seeded_random
 from .cube_tables import CLOCKWISE_PERMS
 
 FACES = "URFDBL"
@@ -186,7 +185,7 @@ def random_scramble(rng_seed: int, length: int) -> Formula:
     set, with no two consecutive moves on the same face."""
     if length < 1:
         raise ScrambleLengthError(f"length must be at least 1, got {length}")
-    rng = random.Random(rng_seed)
+    rng = seeded_random(rng_seed)
     move = rng.choice(ALL_MOVES)
     moves = [move]
     for _ in range(length - 1):

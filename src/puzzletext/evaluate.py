@@ -83,16 +83,15 @@ def cube_progress(cube: str) -> tuple[int, int]:
     return solved_faces, lines
 
 
-def classify_cube(
-    initial: str, response: str, max_chars: int = DEFAULT_MAX_CHARS
-) -> SampleVerdict:
-    """Score a move-formula response against a 54-character start state."""
+def classify_cube(initial: str, response: str) -> SampleVerdict:
+    """Score a move-formula response against a 54-character start state. A
+    response longer than DEFAULT_MAX_CHARS characters is invalid."""
     try:
         cube = decode_facelets(initial)
     except FaceletStringError as exc:
         raise BadPromptError(str(exc)) from exc
 
-    if len(response) > max_chars:
+    if len(response) > DEFAULT_MAX_CHARS:
         return SampleVerdict("cube", INVALID, "too_long")
     try:
         formula = parse_formula(response)
@@ -105,10 +104,9 @@ def classify_cube(
     return SampleVerdict("cube", INCORRECT, progress=progress)
 
 
-def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> SampleVerdict:
-    """Score an 81-digit response against an 81-digit puzzle. With
-    strict_clues (default), changing a given clue is invalid; switch it off
-    to score on completeness and consistency alone."""
+def classify_sudoku(puzzle: str, response: str) -> SampleVerdict:
+    """Score an 81-digit response against an 81-digit puzzle. A response
+    that changes a given clue is invalid."""
     try:
         puzzle_grid = parse_grid81(puzzle)
     except ValueError as exc:
@@ -120,7 +118,7 @@ def classify_sudoku(puzzle: str, response: str, strict_clues: bool = True) -> Sa
         response_grid = parse_grid81(response)
     except ValueError:
         return SampleVerdict("sudoku", INVALID, "bad_grid")
-    if strict_clues and _clue_changed(puzzle_grid, response_grid):
+    if _clue_changed(puzzle_grid, response_grid):
         return SampleVerdict("sudoku", INVALID, "clue_changed")
     violations = count_violations(response_grid)
     filled = 81 - response_grid.count(0)
@@ -236,8 +234,6 @@ def ingest_external_outputs(
     outputs_path,
     kind: str,
     *,
-    max_chars: int = DEFAULT_MAX_CHARS,
-    strict_clues: bool = True,
     jsonl: bool = False,
 ) -> tuple[list[SampleVerdict], list[corpus_mod.RowIssue]]:
     """Score externally produced outputs. Cube and sudoku mode expect two
@@ -256,6 +252,7 @@ def ingest_external_outputs(
         return [classify_maze(sample) for sample in samples], issues
     if kind not in ("cube", "sudoku"):
         raise ValueError(f"unknown kind {kind!r}")
+    classify = classify_cube if kind == "cube" else classify_sudoku
     # A file's line count is its last non-empty line. Lines past both counts
     # pair blank prompts, so they give only issues, dropped once counts match.
     prompt_count = output_count = 0
@@ -266,10 +263,7 @@ def ingest_external_outputs(
         if output:
             output_count = line
         try:
-            if kind == "cube":
-                verdicts.append(classify_cube(prompt, output, max_chars=max_chars))
-            else:
-                verdicts.append(classify_sudoku(prompt, output, strict_clues=strict_clues))
+            verdicts.append(classify(prompt, output))
         except BadPromptError as exc:
             issues.append(corpus_mod.RowIssue(line, str(exc)))
     if prompt_count != output_count:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import re
 import sys
 from bisect import bisect_right
@@ -22,7 +21,7 @@ from collections.abc import Callable, Iterable
 from itertools import accumulate
 
 from . import _util
-from ._util import atomic_write_text, read_pieces
+from ._util import atomic_write_text, read_pieces, seeded_random
 from .corpus import DEFAULT_MAX_CHARS, END_TOKEN
 
 MODEL_FORMAT_VERSION = 1
@@ -164,7 +163,7 @@ def sampler(model: dict, temperature: float = 1.0) -> Callable[..., str]:
     def draw(prompt: str, max_chars: int = DEFAULT_MAX_CHARS, rng_seed: int = 0) -> str:
         if max_chars < 1:
             raise ValueError("max_chars must be >= 1")
-        rng = random.Random(rng_seed)
+        rng = seeded_random(rng_seed)
         context = prompt[-order:] if order else ""
         out: list[str] = []
         for _ in range(max_chars):

@@ -11,9 +11,10 @@ enter using two-character arrow tokens: "^^" up, ">>" right, "vv" down,
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
+
+from ._util import seeded_random
 
 NORTH, EAST, SOUTH, WEST = 1, 2, 4, 8
 
@@ -123,7 +124,7 @@ def generate_solved_maze(rng_seed: int, width: int, height: int) -> tuple[Maze, 
         raise MazeSizeError(f"maze must be at least 2x2, got {width}x{height}")
     # Random.choice(options) inlined: the same getrandbits draws, redrawn
     # until below len(options), as CPython 3.10 to 3.13 make.
-    getrandbits = random.Random(rng_seed).getrandbits
+    getrandbits = seeded_random(rng_seed).getrandbits
     grid = _cached(_grid, width, height)(width, height)
     goal = width * height - 1
     walls = [NORTH | EAST | SOUTH | WEST] * (width * height)

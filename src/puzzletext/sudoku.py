@@ -6,11 +6,12 @@ or 3x3 block; solved means complete and consistent.
 """
 from __future__ import annotations
 
-import random
 from functools import lru_cache
 from itertools import compress, islice, product
 from operator import itemgetter
 from typing import NamedTuple
+
+from ._util import seeded_random
 
 MIN_CLUES, MAX_CLUES = 17, 80  # fewer than 17 never pins one solution; 81 leaves nothing to solve
 MAX_ATTEMPTS = 20  # solved grids generate_puzzle digs before it gives up
@@ -296,7 +297,7 @@ def generate_puzzle(rng_seed: int, clues: int, require_unique: bool = True) -> t
     """
     if not MIN_CLUES <= clues <= MAX_CLUES:
         raise ValueError(f"clues must be in {MIN_CLUES}..{MAX_CLUES}, got {clues}")
-    rng = random.Random(rng_seed)
+    rng = seeded_random(rng_seed)
     for _ in range(MAX_ATTEMPTS):
         solution = next(_completions([0] * 81, [0] * 27, rng))
         cells = list(solution)

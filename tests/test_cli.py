@@ -38,7 +38,7 @@ def test_gen_cube_writes_corpus_and_sidecar(tmp_path, capsys):
     assert code == 0
     records = corpus.read_corpus(out)
     assert len(records) == 20
-    meta = corpus.read_meta(str(out) + ".meta.jsonl")
+    meta = corpus.read_json_lines(str(out) + ".meta.jsonl", dict)
     assert len(meta) == 20
     assert {m["scramble_length"] for m in meta} == {1, 2, 3, 4, 5}
 
@@ -90,7 +90,7 @@ def test_gen_maze_malformed_size_is_usage_error(tmp_path, capsys, sizes, entry):
 def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
     out = tmp_path / "maze.txt"
     assert run(["gen", "maze", "--seed", "1", "--total", "2", "--sizes", " 4x4\t,\n5x5 ", "--out", str(out)]) == 0
-    assert [(m["width"], m["height"]) for m in corpus.read_meta(f"{out}.meta.jsonl")] == [(4, 4), (5, 5)]
+    assert [(m["width"], m["height"]) for m in corpus.read_json_lines(f"{out}.meta.jsonl", dict)] == [(4, 4), (5, 5)]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -104,7 +104,7 @@ def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
     (["sample", "--model", "m.json", "--seed", "0", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
     (["sample", "--model", "m.json", "--seed", "0", "--temperature", "0"], "argument --temperature: must be greater than 0, got 0.0"),
     (["sample", "--model", "m.json", "--seed", "0", "--temperature", "nan"], "argument --temperature: must be greater than 0, got nan"),
-    (["score", "cube", "--prompts", "p.txt", "--outputs", "o.txt", "--max-chars", "0"], "argument --max-chars: must be at least 1, got 0"),
+    (["gen", "cube", "--seed", "1", "--total", "1_0"], "argument --total: invalid int value: '1_0'"),
     (["train", "--corpus", "c.txt", "--order", "-1"], "argument --order: must be at least 0, got -1"),
     (["train", "--corpus", "c.txt", "--alpha", "-0.5"], "argument --alpha: must be greater than 0, got -0.5"),
     (["gen", "cube", "--seed", "1", "--max-scramble", "0"], "argument --max-scramble: must be at least 1, got 0"),
@@ -127,6 +127,12 @@ def test_gen_maze_sizes_strip_ascii_whitespace(tmp_path, capsys):
     (["gen", "maze", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
     (["split", "--in", "c.txt", "--seed", "-3"], "argument --seed: must be at least 0, got -3"),
     (["render", "maze", "--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+    (["gen", "maze", "--seed", "\u0663", "--total", "\u0661"], "argument --seed: invalid int value: '\u0663'"),
+    (["sample", "--model", "m.json", "--seed", "0", "--count", "\uff12"], "argument --count: invalid int value: '\uff12'"),
+    (["sample", "--model", "m.json", "--seed", "0", "--temperature", "1_0.5"],
+     "argument --temperature: invalid float value: '1_0.5'"),
+    (["split", "--in", "c.txt", "--seed", "2", "--test-fraction", "\u0660.5"],
+     "argument --test-fraction: invalid float value: '\u0660.5'"),
 ])
 def test_bad_counts_are_usage_errors(tmp_path, capsys, argv, message):
     out = tmp_path / "out.txt"
@@ -431,7 +437,7 @@ def test_ingest_numbers_rows_by_physical_line(tmp_path, capsys):
     assert run(["ingest", "sudoku-csv", "--csv", str(csv_path), "--out", str(out)]) == 0
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("rejected line 4: ") and err[1:] == [f"wrote 2 records to {out}"]
-    assert [m["source_line"] for m in corpus.read_meta(f"{out}.meta.jsonl")] == [3, 6]
+    assert [m["source_line"] for m in corpus.read_json_lines(f"{out}.meta.jsonl", dict)] == [3, 6]
 
 
 def test_score_with_ingested_meta_has_no_per_line_breakdown(tmp_path, capsys):
@@ -525,16 +531,24 @@ OTHER_SOLVED_SUDOKU = "123456789456789123789123456214365897365897214897214365531
 
 
 def test_score_sudoku_lenient_clues(tmp_path, capsys):
+    """--lenient-clues is gone: a changed clue is always invalid."""
     prompts = tmp_path / "p.txt"
     outputs = tmp_path / "o.txt"
     prompts.write_text(SAMPLE_SUDOKU_PUZZLE + "\n", encoding="utf-8")
     outputs.write_text(OTHER_SOLVED_SUDOKU + "\n", encoding="utf-8")
     strict, lenient = tmp_path / "strict.json", tmp_path / "lenient.json"
     base = ["score", "sudoku", "--prompts", str(prompts), "--outputs", str(outputs)]
+    assert run(base + ["--lenient-clues", "--json", str(lenient)]) == 1
+    assert "error: unrecognized arguments: --lenient-clues\n" in capsys.readouterr().err
+    assert not lenient.exists()
     assert run(base + ["--json", str(strict)]) == 0
-    assert run(base + ["--lenient-clues", "--json", str(lenient)]) == 0
-    assert json.loads(read(strict))["counts"]["invalid"] == 1
-    assert json.loads(read(lenient))["counts"]["correct"] == 1
+    assert json.loads(read(strict)) == {
+        "total": 1,
+        "counts": {"invalid": 1, "incorrect": 0, "correct": 0},
+        "percentages": {"invalid": 100.0, "incorrect": 0.0, "correct": 0.0},
+        "progress_histogram": {},
+        "breakdown": {},
+    }
 
 
 @pytest.mark.parametrize("prompts, outputs, code, err", [
@@ -822,7 +836,11 @@ TRANSCRIPT_INPUTS = {
 # Re-recorded when the depth-first solver and `solve maze --strategy` were removed: only
 # `solve maze --help`, `--strategy dfs` and `--strategy astar` changed; the last two are
 # now unrecognized arguments.
-PINNED_TRANSCRIPT_SHA256 = "9a7e297d63a3f9993ac655124856a987baa5e00d89921a245d7ff04cfea67bac"
+# Re-recorded when `score cube --max-chars` and `score sudoku --lenient-clues` were
+# removed: the `score cube` and `score sudoku` usage and help texts lost the flag, and
+# the three invocations that pass one are now unrecognized arguments, so
+# cube_report.json and sudoku_report.json are never written.
+PINNED_TRANSCRIPT_SHA256 = "f292da6f2788b83e2736d9b19d0241a3b7d07808912919701d49177f90aa9d13"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from conftest import SAMPLE_SUDOKU_PUZZLE, SAMPLE_SUDOKU_SOLUTION  # noqa: E402
-from puzzletext.corpus import END_TOKEN, PROMPT_TAG, RESPONSE_TAG, START_TOKEN  # noqa: E402
+from puzzletext.corpus import DEFAULT_MAX_CHARS, END_TOKEN, PROMPT_TAG, RESPONSE_TAG, START_TOKEN  # noqa: E402
 from puzzletext.cube import (  # noqa: E402
     ALL_MOVES,
     FACES,
@@ -37,6 +37,8 @@ FAST = settings(max_examples=300, deadline=None)
 # text over each grammar's own characters reaches past the first check more
 # often than arbitrary Unicode does
 FORMULA_TEXT = st.text(alphabet=FACES + "2' \t\nxＲ", max_size=40)
+# formula text padded with spaces to the character budget, or one past it
+BUDGET_TEXT = st.builds(str.ljust, FORMULA_TEXT, st.sampled_from((DEFAULT_MAX_CHARS, DEFAULT_MAX_CHARS + 1)))
 FACELET_TEXT = st.one_of(
     st.text(alphabet=FACES + "x ", min_size=50, max_size=58),
     st.permutations(SOLVED_FACELETS).map("".join),
@@ -78,17 +80,17 @@ def test_decode_facelets_returns_the_text_or_a_facelet_error(text):
 
 
 @FAST
-@given(arbitrary(FACELET_TEXT), arbitrary(FORMULA_TEXT), st.integers(1, 60))
-def test_classify_cube_returns_a_verdict_or_a_bad_prompt(initial, response, max_chars):
+@given(arbitrary(FACELET_TEXT), arbitrary(FORMULA_TEXT, BUDGET_TEXT))
+def test_classify_cube_returns_a_verdict_or_a_bad_prompt(initial, response):
     try:
-        verdict = classify_cube(initial, response, max_chars)
+        verdict = classify_cube(initial, response)
     except BadPromptError:
         with pytest.raises(FaceletStringError):
             decode_facelets(initial)
         return
     assert_verdict(verdict, "cube")
     if verdict.status == CORRECT:
-        assert len(response) <= max_chars
+        assert len(response) <= DEFAULT_MAX_CHARS
         assert is_solved(apply_formula(initial, parse_formula(response)))
 
 
@@ -105,11 +107,11 @@ def near_solutions(draw):
 
 
 @FAST
-@given(arbitrary(GRID_TEXT, near_solutions()), arbitrary(GRID_TEXT, near_solutions()), st.booleans())
-def test_classify_sudoku_returns_a_verdict_or_a_bad_prompt(puzzle, response, strict_clues):
+@given(arbitrary(GRID_TEXT, near_solutions()), arbitrary(GRID_TEXT, near_solutions()))
+def test_classify_sudoku_returns_a_verdict_or_a_bad_prompt(puzzle, response):
     for prompt in (puzzle, SAMPLE_SUDOKU_PUZZLE):
         try:
-            verdict = classify_sudoku(prompt, response, strict_clues)
+            verdict = classify_sudoku(prompt, response)
         except BadPromptError:
             assert prompt == puzzle
             continue
@@ -118,7 +120,7 @@ def test_classify_sudoku_returns_a_verdict_or_a_bad_prompt(puzzle, response, str
             grid = parse_grid81(response)
             assert is_complete(grid) and not find_violations(grid)
             clues = parse_grid81(prompt)
-            assert not strict_clues or all(clue in (0, digit) for clue, digit in zip(clues, grid))
+            assert all(clue in (0, digit) for clue, digit in zip(clues, grid))
 
 
 @st.composite

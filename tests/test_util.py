@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from puzzletext import _util
+from puzzletext import _util, corpus, cube, markov, maze, sudoku
 from puzzletext._util import PIECE_CHARS, Counted, atomic_write_text, atomic_writer, read_lines, read_pieces
 
 
@@ -77,3 +77,29 @@ def test_counted_measures_what_has_been_read():
     assert len(pieces) == 5
     items = Counted(x for x in "xyz")
     assert next(iter(items)) == "x" and len(items) == 1
+
+
+def test_every_seeded_entry_point_refuses_a_negative_rng_seed():
+    # random.Random seeds by the absolute value, so -3 would repeat seed 3
+    def unread():
+        raise AssertionError("records read before the seed was checked")
+        yield
+
+    model = markov.train("ab", 1, 0.1)
+    draw = markov.sampler(model)
+    calls = [
+        lambda: maze.generate_solved_maze(-3, 4, 4),
+        lambda: maze.generate_maze(-3, 4, 4),
+        lambda: cube.random_scramble(-3, 5),
+        lambda: sudoku.generate_puzzle(-3, 30),
+        # the lazy builders raise before they return
+        lambda: corpus.build_cube_corpus(-3, 5, 5),
+        lambda: corpus.build_sudoku_corpus(-3, 5),
+        lambda: corpus.build_maze_corpus(-3, 5),
+        lambda: corpus.dedup_and_split(unread(), -3, 0.5),
+        lambda: draw("a", 5, -3),
+        lambda: markov.sample(model, "a", 5, -3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^rng_seed must be at least 0, got -3$"):
+            call()
