@@ -33,7 +33,7 @@ broken = parse_grid81("55" + "0" * 43 + "7" + "0" * 8 + "7" + "0" * 26)
 violations = find_violations(broken)
 for v in violations:
     print(f"repeated {v.digit} in {v.kind} {v.index} at cells {v.positions}")
-print(render_sudoku(broken, violations))
+print(render_sudoku(broken))
 print()
 
 # Seeded generation: a solved grid is built first, then cells are removed

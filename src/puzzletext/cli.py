@@ -35,8 +35,20 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # each flag has one spelling: no prefix such as `--prompt` stands for `--prompt-file`
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise _UsageError(f"{self.format_usage().rstrip()}\n{self.prog}: error: {message}")
+
+    def parse_known_args(self, args=None, namespace=None):
+        # A subcommand's parser reads every argument after its name, so what it leaves is
+        # unknown: report it with the subcommand's usage, not the root's.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras and self._subparsers is None:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
 
     def _check_value(self, action, value):
         # Later argparse releases format the value with str() and no longer quote the
@@ -49,16 +61,22 @@ class _Parser(argparse.ArgumentParser):
 def _number(convert, low, *, strict=False, below=None):
     """argparse type: `convert(text)` (int or float) no smaller than `low`,
     greater than it if `strict`, and less than `below` if given. NaN fails
-    every bound, and infinity is refused as not finite. Only ASCII text
-    without underscores is read, so `٣` and `1_0` are invalid values."""
+    every bound, and infinity is refused as not finite. Each number has one
+    spelling: an int only as str() writes it, so `+3`, ` 3`, `03`, `-0`,
+    `٣` and `1_0` are invalid values, and a float only in ASCII without an
+    underscore, a leading `+` or surrounding whitespace."""
     bound = f"{'greater than' if strict else 'at least'} {low}"
     if below is not None:
         bound += f" and less than {below}"
 
     def parse(text: str):
-        if not text.isascii() or "_" in text:
-            raise ValueError(text)  # argparse reports "invalid int value: '٣'"
         value = convert(text)
+        if convert is int:
+            spelled = str(value) == text
+        else:
+            spelled = text.isascii() and "_" not in text and text[:1] != "+" and text == text.strip()
+        if not spelled:
+            raise ValueError(text)  # argparse reports "invalid int value: '+3'"
         in_range = (low < value if strict else low <= value) and (below is None or value < below)
         if not in_range:
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
@@ -145,9 +163,7 @@ def _cmd_render_cube(args) -> int:
 
 
 def _cmd_render_sudoku(args) -> int:
-    grid = sudoku_mod.parse_grid81(args.grid)
-    highlight = sudoku_mod.find_violations(grid) if args.mark_violations else None
-    print(sudoku_mod.render_sudoku(grid, highlight))
+    print(sudoku_mod.render_sudoku(sudoku_mod.parse_grid81(args.grid)))
     return 0
 
 
@@ -169,10 +185,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     model = markov_mod.load_model(args.model)
-    if args.prompt_file:
-        prompt = "".join(_read_pieces(args.prompt_file))
-    else:
-        prompt = args.prompt
+    prompt = "".join(_read_pieces(args.prompt_file)) if args.prompt_file else ""
     draw = markov_mod.sampler(model, args.temperature)
     samples = [prompt + draw(prompt, args.max_chars, args.seed + i) for i in range(args.count)]
     lines = [json.dumps(s) for s in samples] if args.jsonl else samples
@@ -230,12 +243,10 @@ def build_parser() -> _Parser:
     clues = _number(int, sudoku_mod.MIN_CLUES, below=sudoku_mod.MAX_CLUES + 1)
     add_gen(
         "sudoku", "sudoku puzzle/solution pairs", 1000,
-        lambda a: corpus_mod.build_sudoku_corpus(
-            a.seed, a.total, (a.clue_min, a.clue_max), require_unique=not a.allow_multiple
-        ),
-        ("--clue-min", dict(type=clues, default=25)),
-        ("--clue-max", dict(type=clues, default=35)),
-        ("--allow-multiple", dict(action="store_true", help="skip the uniqueness check")),
+        lambda a: corpus_mod.build_sudoku_corpus(a.seed, a.total, (a.clue_min, a.clue_max)),
+        ("--clue-min", dict(type=clues, default=25, metavar="CLUES",
+                            help="17..80; 23 is the practical floor for a unique puzzle")),
+        ("--clue-max", dict(type=clues, default=35, metavar="CLUES")),
     )
     add_gen(
         "maze", "unsolved/solved maze render pairs", 10000,
@@ -281,7 +292,6 @@ def build_parser() -> _Parser:
     g.set_defaults(func=_cmd_render_cube)
     g = render.add_parser("sudoku")
     g.add_argument("--grid", required=True)
-    g.add_argument("--mark-violations", action="store_true")
     g.set_defaults(func=_cmd_render_sudoku)
     g = render.add_parser("maze")
     g.add_argument("--seed", type=_number(int, 0), required=True)
@@ -303,8 +313,7 @@ def build_parser() -> _Parser:
     g.add_argument("--count", type=_number(int, 0), default=1)
     g.add_argument("--max-chars", type=_number(int, 1), default=corpus_mod.DEFAULT_MAX_CHARS)
     g.add_argument("--temperature", type=_number(float, 0, strict=True), default=1.0)
-    g.add_argument("--prompt", default="")
-    g.add_argument("--prompt-file", default=None)
+    g.add_argument("--prompt-file", default=None, help="prompt text file, - for stdin")
     g.add_argument("--out", default=None)
     g.add_argument("--jsonl", action="store_true", help="one JSON-encoded sample per line")
     g.set_defaults(func=_cmd_sample)

@@ -161,8 +161,8 @@ def build_cube_corpus(rng_seed: int, total: int, max_scramble: int) -> Iterator[
     )
 
 
-def _sudoku_record(seed: int, clues: int, require_unique: bool) -> PuzzleRecord:
-    puzzle, solution = generate_puzzle(seed, clues, require_unique=require_unique)
+def _sudoku_record(seed: int, clues: int) -> PuzzleRecord:
+    puzzle, solution = generate_puzzle(seed, clues)
     return PuzzleRecord(
         "sudoku",
         format_grid81(puzzle),
@@ -172,14 +172,10 @@ def _sudoku_record(seed: int, clues: int, require_unique: bool) -> PuzzleRecord:
 
 
 def build_sudoku_corpus(
-    rng_seed: int,
-    total: int,
-    clue_range: tuple[int, int] = (25, 35),
-    *,
-    require_unique: bool = True,
+    rng_seed: int, total: int, clue_range: tuple[int, int] = (25, 35)
 ) -> Iterator[PuzzleRecord]:
-    """Seeded puzzle/solution pairs with clue counts drawn uniformly from
-    clue_range (inclusive)."""
+    """Seeded unique puzzle/solution pairs with clue counts drawn uniformly
+    from clue_range (inclusive)."""
     low, high = clue_range
     if not MIN_CLUES <= low <= high <= MAX_CLUES:
         raise ValueError(
@@ -187,8 +183,7 @@ def build_sudoku_corpus(
         )
     master = seeded_random(rng_seed)
     return (
-        _sudoku_record(master.getrandbits(63), master.randint(low, high), require_unique)
-        for _ in range(total)
+        _sudoku_record(master.getrandbits(63), master.randint(low, high)) for _ in range(total)
     )
 
 

@@ -285,15 +285,16 @@ def _other_completion_exists(cells, masks, cell: int) -> bool:
     return False
 
 
-def generate_puzzle(rng_seed: int, clues: int, require_unique: bool = True) -> tuple[Grid, Grid]:
-    """Seeded (puzzle, solution) pair with exactly `clues` filled cells.
+def generate_puzzle(rng_seed: int, clues: int) -> tuple[Grid, Grid]:
+    """Seeded (puzzle, solution) pair with exactly `clues` filled cells,
+    whose only completion is the solution.
 
     Builds a solved grid by randomized backtracking, then removes cells in
-    seeded random order. When require_unique, a removal is kept only if no
-    completion puts another digit in the blanked cell: the puzzle before it
-    has one known completion, so then it stays unique. Digs MAX_ATTEMPTS
-    fresh grids before giving up. With uniqueness, 23 clues is the practical
-    floor: seeds 0-19 all reach 23, but only 8 of them reach 22.
+    seeded random order. A removal is kept only if no completion puts
+    another digit in the blanked cell: the puzzle before it has one known
+    completion, so then it stays unique. Digs MAX_ATTEMPTS fresh grids
+    before giving up. 23 clues is the practical floor: seeds 0-19 all reach
+    23, but only 8 of them reach 22.
     """
     if not MIN_CLUES <= clues <= MAX_CLUES:
         raise ValueError(f"clues must be in {MIN_CLUES}..{MAX_CLUES}, got {clues}")
@@ -308,7 +309,7 @@ def generate_puzzle(rng_seed: int, clues: int, require_unique: bool = True) -> t
         for cell in order:
             if remaining == clues:
                 break
-            if require_unique and _other_completion_exists(cells, masks, cell):
+            if _other_completion_exists(cells, masks, cell):
                 continue
             for u in _CELL_UNITS[cell]:
                 masks[u] ^= 1 << cells[cell]
@@ -319,11 +320,12 @@ def generate_puzzle(rng_seed: int, clues: int, require_unique: bool = True) -> t
     raise PuzzleGenerationError(f"could not reach {clues} clues with a unique solution")
 
 
-def render_sudoku(grid: Grid, highlight: list[Violation] | None = None) -> str:
-    """Console grid with box separators; blanks as '.', highlighted cells
-    starred. Every cell renders as two characters (marker + digit)."""
+def render_sudoku(grid: Grid) -> str:
+    """Console grid with box separators; blanks as '.', the cells of every
+    repeated digit (find_violations) starred. Every cell renders as two
+    characters (marker + digit)."""
     marked = set()
-    for violation in highlight or ():
+    for violation in find_violations(grid):
         marked.update(violation.positions)
     lines = []
     for r in range(9):

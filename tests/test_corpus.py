@@ -25,7 +25,7 @@ from puzzletext.corpus import (
 from puzzletext.cube import ALL_MOVES, SOLVED_FACELETS, apply_formula, apply_move, is_solved, parse_formula
 from puzzletext.cube import decode_facelets
 from puzzletext.maze import MazeSizeError, parse_maze, validate_path
-from puzzletext.sudoku import find_violations, is_complete, parse_grid81
+from puzzletext.sudoku import count_solutions, find_violations, is_complete, parse_grid81
 
 
 # --- record framing ---
@@ -143,6 +143,7 @@ def test_sudoku_corpus_records_solve_their_prompts():
         assert is_complete(solution)
         assert find_violations(solution) == []
         assert all(p == 0 or p == s for p, s in zip(puzzle, solution))
+        assert count_solutions(puzzle, 2) == 1
         assert 30 <= record.meta["clues"] <= 35
 
 
